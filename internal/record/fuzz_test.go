@@ -9,8 +9,10 @@ import (
 )
 
 // FuzzRecordDecode feeds arbitrary bytes through the WAL line decoder:
-// Decode must never panic, and any line it accepts must re-encode and decode
-// to the same record (the round-trip the WAL depends on).
+// Decode must never panic, must keep the decode contract against the
+// encoding/json reference (accept only what it accepts, with an equal
+// record), and any line it accepts must re-encode and decode to the same
+// record (the round-trip the WAL depends on).
 func FuzzRecordDecode(f *testing.F) {
 	seeds := []any{
 		&LogRecord{Kind: KindLog, ProjID: "p", Tstamp: 3, Filename: "train.flow", CtxID: 7, ValueName: "acc", Value: "0.93", ValueType: VTFloat, Wall: time.Unix(1700000000, 0).UTC()},
@@ -29,8 +31,11 @@ func FuzzRecordDecode(f *testing.F) {
 	f.Add([]byte(`{"kind":"log"`))   // torn
 	f.Add([]byte(`{"kind":"nope"}`)) // unknown kind
 	f.Add([]byte(`{"kind":"log","tstamp":"NaN"}`))
+	f.Add([]byte(`{"kind":"log","value":"\ud83d\ude00 \ud800 \u003c\u2028 \"\\\/\b\f\n\r\t","tstamp":-9223372036854775808}`))
+	f.Add([]byte(`{"kind":"commit","wall":"2024-02-29T23:59:59.5+05:30","vid":"\u0000"}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstReference(t, data)
 		rec, err := Decode(data)
 		if err != nil {
 			return

@@ -100,11 +100,6 @@ type CommitRecord struct {
 	Wall   time.Time `json:"wall"`
 }
 
-// Envelope wraps any record for decoding: peek at Kind, then decode fully.
-type Envelope struct {
-	Kind Kind `json:"kind"`
-}
-
 // Encode marshals a record to one JSONL line (no trailing newline).
 func Encode(rec any) ([]byte, error) {
 	b, err := json.Marshal(rec)
@@ -112,48 +107,6 @@ func Encode(rec any) ([]byte, error) {
 		return nil, fmt.Errorf("record: encode: %w", err)
 	}
 	return b, nil
-}
-
-// Decode parses one JSONL line into the concrete record type.
-func Decode(line []byte) (any, error) {
-	var env Envelope
-	if err := json.Unmarshal(line, &env); err != nil {
-		return nil, fmt.Errorf("record: bad envelope: %w", err)
-	}
-	switch env.Kind {
-	case KindLog:
-		var r LogRecord
-		if err := json.Unmarshal(line, &r); err != nil {
-			return nil, err
-		}
-		return &r, nil
-	case KindLoop:
-		var r LoopRecord
-		if err := json.Unmarshal(line, &r); err != nil {
-			return nil, err
-		}
-		return &r, nil
-	case KindArg:
-		var r ArgRecord
-		if err := json.Unmarshal(line, &r); err != nil {
-			return nil, err
-		}
-		return &r, nil
-	case KindCkpt:
-		var r CkptRecord
-		if err := json.Unmarshal(line, &r); err != nil {
-			return nil, err
-		}
-		return &r, nil
-	case KindCommit:
-		var r CommitRecord
-		if err := json.Unmarshal(line, &r); err != nil {
-			return nil, err
-		}
-		return &r, nil
-	default:
-		return nil, fmt.Errorf("record: unknown kind %q", env.Kind)
-	}
 }
 
 // FormatValue renders a Go value into the logs.value text column plus its
@@ -176,7 +129,7 @@ func FormatValue(v any) (string, ValueType) {
 	case int64:
 		return strconv.FormatInt(x, 10), VTInt
 	case float32:
-		return strconv.FormatFloat(float64(x), 'g', -1, 64), VTFloat
+		return strconv.FormatFloat(float64(x), 'g', -1, 32), VTFloat
 	case float64:
 		return strconv.FormatFloat(x, 'g', -1, 64), VTFloat
 	case fmt.Stringer:

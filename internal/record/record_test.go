@@ -55,6 +55,7 @@ func TestFormatValueTypes(t *testing.T) {
 		{int32(7), "7", VTInt},
 		{3.5, "3.5", VTFloat},
 		{float32(2), "2", VTFloat},
+		{float32(0.1), "0.1", VTFloat},
 		{true, "true", VTBool},
 		{false, "false", VTBool},
 		{nil, "", VTText},

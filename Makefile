@@ -14,7 +14,7 @@
 # figures only compare within one hardware class, so local machines run the
 # snapshots (bench, macro) but not the diffs (bench-gate, macro-gate).
 
-.PHONY: check fmt vet vet-custom build test race-stress repl-matrix bench bench-full bench-gate macro macro-gate fuzz
+.PHONY: check fmt vet vet-custom build test race-stress repl-matrix bench bench-full bench-gate macro macro-gate fuzz loc
 
 check: fmt vet vet-custom build test bench
 
@@ -101,3 +101,11 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzSnapshotRead$$' -fuzztime 10s ./internal/record
 	go test -run '^$$' -fuzz '^FuzzColumnarPageRead$$' -fuzztime 10s ./internal/record
 	go test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/storage
+
+# loc prints the module's Go line counts, non-test and test files apart,
+# leaving out vendor/ and the perfbench/ module (and its build cache). Run
+# it on two checkouts to report a change's net lines.
+GO_FILES = find . -name '*.go' -not -path './vendor/*' -not -path './perfbench/*' -not -path './.bench_build/*'
+loc:
+	@printf 'non-test Go lines: '; $(GO_FILES) ! -name '*_test.go' -exec cat {} + | wc -l
+	@printf 'test Go lines:     '; $(GO_FILES) -name '*_test.go' -exec cat {} + | wc -l

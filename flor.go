@@ -108,7 +108,6 @@ type Session struct {
 	plans     *sqlparse.PlanCache
 	epochs    *storage.EpochIndex // epoch↔commit-timestamp map for AS OF TIMESTAMP
 	gcRows    atomic.Int64        // row versions reclaimed by GCEpochs since open
-	scanWkrs  int                 // Options.ScanWorkers (0 = GOMAXPROCS)
 
 	// Lifecycle: begin/end bracket every public operation so Close can
 	// refuse new work (ErrClosed) and drain what is in flight before
@@ -163,10 +162,6 @@ type Options struct {
 	// versions no retained epoch can see. 0 retains every epoch forever —
 	// GCEpochs is then a no-op.
 	RetainEpochs int
-	// ScanWorkers caps the worker pool SQL execution fans morsel-driven
-	// parallel scans out over. 0 uses GOMAXPROCS; 1 forces serial scans.
-	// The effective pool is min(GOMAXPROCS, ScanWorkers).
-	ScanWorkers int
 	// Stdout receives Flow script print output (nil = discard).
 	Stdout io.Writer
 }
@@ -289,7 +284,6 @@ func newSession(projid, dir string, wal *storage.WAL, walPath string, readOnly b
 		stdout:    opts.Stdout,
 		plans:     sqlparse.NewPlanCache(0),
 		epochs:    storage.NewEpochIndex(),
-		scanWkrs:  opts.ScanWorkers,
 	}
 	if s.stdout == nil {
 		s.stdout = io.Discard
@@ -1005,18 +999,13 @@ func (v *SnapshotView) SQL(query string) (*sqlparse.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sqlparse.ExecuteOptions(v.snap, v.resolveAsOf(stmt), v.sess.execOptions())
-}
-
-// execOptions resolves the session's execution tuning.
-func (s *Session) execOptions() sqlparse.ExecOptions {
-	return sqlparse.ExecOptions{ScanWorkers: s.scanWkrs}
+	return sqlparse.Execute(v.snap, v.resolveAsOf(stmt))
 }
 
 // ScanWorkers reports the effective parallel-scan worker pool size SQL
-// execution may fan out to (the /healthz scan_workers gauge).
+// execution may fan out to (the /healthz scan_workers gauge): GOMAXPROCS.
 func (s *Session) ScanWorkers() int {
-	return sqlparse.EffectiveScanWorkers(s.scanWkrs)
+	return sqlparse.EffectiveScanWorkers(0)
 }
 
 // resolveAsOf rewrites an AS OF TIMESTAMP statement into epoch form using the
@@ -1059,7 +1048,7 @@ func (v *SnapshotView) Explain(query string) (string, error) {
 		clone.Explain = true
 		stmt = &clone
 	}
-	res, err := sqlparse.ExecuteOptions(v.snap, stmt, v.sess.execOptions())
+	res, err := sqlparse.Execute(v.snap, stmt)
 	if err != nil {
 		return "", err
 	}

@@ -9,8 +9,10 @@
 //
 //   - v3 (current, columnar): per-column pages with zone maps in a page
 //     directory; see snapshot_columnar.go for the layout.
-//   - v2 (legacy, row-oriented): still read for compatibility with
-//     pre-columnar snapshots, and writable via WriteSnapshotV2 for tests.
+//   - v2 (legacy, row-oriented): read-only, for compatibility with
+//     pre-columnar snapshots. Compaction prunes the WAL segments a snapshot
+//     covers, so a project whose newest snapshot is v2 needs this reader to
+//     open at all.
 //
 // v2 layout (all integers varint-encoded unless noted):
 //
@@ -43,7 +45,6 @@
 package record
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -111,99 +112,17 @@ func (d *snapDict) id(s string) uint64 {
 	return id
 }
 
-// WriteSnapshot serializes the tables to w in the format named by
-// meta.Version (2 writes the legacy row-oriented layout; anything else writes
-// the current columnar layout). The caller owns durability (buffering, fsync,
-// atomic rename).
+// WriteSnapshot serializes the tables to w in the current columnar format.
+// The caller owns durability (buffering, fsync, atomic rename).
 func WriteSnapshot(w io.Writer, meta SnapshotMeta, t *Tables) error {
 	return WriteSnapshotHook(w, meta, t, nil)
 }
 
 // WriteSnapshotHook is WriteSnapshot with a test hook fired after each table
 // section reaches w — the crash-injection matrix uses it to kill the process
-// mid-file and prove recovery falls back cleanly. The hook is only fired on
-// the v3 path (v2 buffers all sections and writes them in one burst).
+// mid-file and prove recovery falls back cleanly.
 func WriteSnapshotHook(w io.Writer, meta SnapshotMeta, t *Tables, hook func(table string) error) error {
-	if meta.Version == 2 {
-		return writeSnapshotV2(w, meta, t)
-	}
 	return writeSnapshotV3(w, meta, t, hook)
-}
-
-// WriteSnapshotV2 writes the legacy row-oriented format regardless of
-// meta.Version, for read-compatibility tests against the v3 reader.
-func WriteSnapshotV2(w io.Writer, meta SnapshotMeta, t *Tables) error {
-	meta.Version = 2
-	return writeSnapshotV2(w, meta, t)
-}
-
-func writeSnapshotV2(w io.Writer, meta SnapshotMeta, t *Tables) error {
-	// Encode the row sections into a buffer first, building the string
-	// dictionary as cells are visited; the file stores the dictionary ahead
-	// of the rows so the reader can resolve indexes in one pass.
-	dict := &snapDict{ids: make(map[string]uint64, 1024)}
-	var rowsBuf bytes.Buffer
-	buf := make([]byte, 0, 1<<10)
-	for _, tbl := range t.snapshotTables() {
-		name := tbl.Name()
-		rows, born, dead := tbl.Versions()
-		// Fold out versions the retention GC already reclaimed in memory
-		// (nil payload) or that fall at or below the persisted floor: both
-		// are invisible at every epoch a reader of this snapshot may target.
-		persist := 0
-		for id := range rows {
-			if snapPersists(rows[id], dead[id], meta.MinEpoch) {
-				persist++
-			}
-		}
-		buf = binary.AppendUvarint(buf[:0], uint64(len(name)))
-		buf = append(buf, name...)
-		buf = binary.AppendUvarint(buf, uint64(persist))
-		rowsBuf.Write(buf)
-		for id, r := range rows {
-			if !snapPersists(r, dead[id], meta.MinEpoch) {
-				continue
-			}
-			buf = binary.AppendVarint(buf[:0], born[id])
-			buf = binary.AppendVarint(buf, dead[id])
-			for i := range r {
-				buf = appendSnapValue(buf, &r[i], dict)
-			}
-			rowsBuf.Write(buf)
-		}
-	}
-
-	h := crc32.New(castagnoli)
-	mw := io.MultiWriter(w, h)
-	if _, err := mw.Write([]byte(snapshotMagic)); err != nil {
-		return fmt.Errorf("record: write snapshot: %w", err)
-	}
-	metaJSON, err := json.Marshal(meta)
-	if err != nil {
-		return fmt.Errorf("record: snapshot meta: %w", err)
-	}
-	buf = binary.AppendUvarint(buf[:0], uint64(len(metaJSON)))
-	buf = append(buf, metaJSON...)
-	buf = binary.AppendUvarint(buf, uint64(len(dict.entries)))
-	if _, err := mw.Write(buf); err != nil {
-		return fmt.Errorf("record: write snapshot: %w", err)
-	}
-	for _, e := range dict.entries {
-		buf = binary.AppendUvarint(buf[:0], uint64(len(e)))
-		buf = append(buf, e...)
-		if _, err := mw.Write(buf); err != nil {
-			return fmt.Errorf("record: write snapshot: %w", err)
-		}
-	}
-	if _, err := mw.Write(rowsBuf.Bytes()); err != nil {
-		return fmt.Errorf("record: write snapshot: %w", err)
-	}
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], h.Sum32())
-	if _, err := w.Write(trailer[:]); err != nil {
-		return fmt.Errorf("record: write snapshot: %w", err)
-	}
-	return nil
 }
 
 // snapPersists reports whether a row version belongs in a snapshot with the
@@ -211,37 +130,6 @@ func writeSnapshotV2(w io.Writer, meta SnapshotMeta, t *Tables) error {
 // must still be visible at some epoch >= floor.
 func snapPersists(r relation.Row, dead, minEpoch int64) bool {
 	return r != nil && (dead == 0 || dead > minEpoch)
-}
-
-func appendSnapValue(dst []byte, v *relation.Value, dict *snapDict) []byte {
-	switch v.Type() {
-	case relation.TInt:
-		dst = append(dst, 'i')
-		return binary.AppendVarint(dst, v.AsInt())
-	case relation.TText:
-		dst = append(dst, 's')
-		return binary.AppendUvarint(dst, dict.id(v.AsText()))
-	case relation.TFloat:
-		dst = append(dst, 'f')
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.AsFloat()))
-		return append(dst, b[:]...)
-	case relation.TBool:
-		if v.AsBool() {
-			return append(dst, 'B')
-		}
-		return append(dst, 'b')
-	case relation.TTime:
-		dst = append(dst, 't')
-		return binary.AppendVarint(dst, v.AsTime().UnixNano())
-	case relation.TBlob:
-		b := v.AsBlob()
-		dst = append(dst, 'x')
-		dst = binary.AppendUvarint(dst, uint64(len(b)))
-		return append(dst, b...)
-	default: // TNull
-		return append(dst, 'N')
-	}
 }
 
 // ReadSnapshot verifies and decodes a snapshot, then bulk-loads the rows

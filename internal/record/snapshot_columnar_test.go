@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"os"
 	"testing"
 
 	"flordb/internal/relation"
@@ -60,12 +61,14 @@ func columnarTables(t *testing.T) (*relation.Database, *Tables) {
 func TestSnapshotV2ReadCompatibility(t *testing.T) {
 	src := snapTables(t)
 	fillSnapTables(t, src)
-	var buf bytes.Buffer
-	if err := WriteSnapshotV2(&buf, SnapshotMeta{Seq: 9, MaxTstamp: 9}, src); err != nil {
+	// testdata/snapshot_v2_filled.snap holds these same tables (meta seq 9,
+	// max_tstamp 9), written by the retired v2 writer.
+	data, err := os.ReadFile("testdata/snapshot_v2_filled.snap")
+	if err != nil {
 		t.Fatal(err)
 	}
 	dst := snapTables(t)
-	meta, err := ReadSnapshot(buf.Bytes(), dst)
+	meta, err := ReadSnapshot(data, dst)
 	if err != nil {
 		t.Fatalf("v2 snapshot no longer readable: %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"os"
 	"testing"
 	"time"
 
@@ -190,12 +191,12 @@ func TestSnapshotRejectsHugeRowCount(t *testing.T) {
 	// error, not panic in make() via n*width overflow. (The byte surgery
 	// below targets the v2 layout; v3's equivalent guards are covered in
 	// snapshot_columnar_test.go.)
-	src := snapTables(t)
-	var buf bytes.Buffer
-	if err := WriteSnapshotV2(&buf, SnapshotMeta{}, src); err != nil {
+	// testdata/snapshot_v2_empty.snap is a v2 snapshot of empty tables,
+	// written by the retired v2 writer.
+	data, err := os.ReadFile("testdata/snapshot_v2_empty.snap")
+	if err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
 	// Locate the logs table section: magic, uvarint metaLen+meta, uvarint
 	// dict count (0 for empty tables), uvarint nameLen + "logs", then the
 	// row count uvarint we overwrite.

@@ -95,12 +95,14 @@ type BatchIterator interface {
 // ---------- Row <-> batch adapters ----------
 
 // RowsFromBatchesOp adapts a BatchIterator into a row Iterator at a
-// pipeline boundary (sort, distinct, limit, final materialization). Each
-// emitted row is freshly allocated, since batch buffers are reused.
+// pipeline boundary (sort, distinct, limit, final materialization). Emitted
+// rows are copies, since batch buffers are reused; the rows of one batch
+// share one allocation.
 type RowsFromBatchesOp struct {
-	in  BatchIterator
-	cur *Batch
-	i   int // next position within cur.Sel
+	in   BatchIterator
+	cur  *Batch
+	i    int     // next position within cur.Sel
+	slab []Value // backing store for the rows of cur: one allocation per batch
 }
 
 // NewRowsFromBatches wraps a batch stream as a row stream.
@@ -115,7 +117,8 @@ func (r *RowsFromBatchesOp) Schema() *Schema { return r.in.Schema() }
 func (r *RowsFromBatchesOp) Next() (Row, bool) {
 	for {
 		if r.cur != nil && r.i < len(r.cur.Sel) {
-			row := r.cur.row(r.cur.Sel[r.i], nil)
+			w := len(r.cur.Cols)
+			row := r.cur.row(r.cur.Sel[r.i], r.slab[r.i*w:(r.i+1)*w:(r.i+1)*w])
 			r.i++
 			return row, true
 		}
@@ -124,13 +127,15 @@ func (r *RowsFromBatchesOp) Next() (Row, bool) {
 			return nil, false
 		}
 		r.cur, r.i = b, 0
+		r.slab = make([]Value, len(b.Sel)*len(b.Cols))
 	}
 }
 
 // BatchFromRowsOp adapts a row Iterator into a BatchIterator by packing up
 // to size rows per batch with an identity selection vector. It lets batch
-// operators run over row-producing sources (index paths, virtual tables)
-// and gives equivalence tests a way to feed identical inputs to both paths.
+// operators run over row-producing sources (virtual tables, the ExecuteScan
+// reference's row scans and joins) and gives equivalence tests a way to
+// feed identical inputs to both paths.
 type BatchFromRowsOp struct {
 	in    Iterator
 	batch *Batch
@@ -171,18 +176,14 @@ func (a *BatchFromRowsOp) NextBatch() (*Batch, bool) {
 
 // ---------- Batch scan ----------
 
-// batchStater is the internal surface batch scans pin table state through:
-// both Table (latest visibility) and TableSnapshot (epoch visibility)
-// expose their published state and the epoch to filter it at.
-type batchStater interface {
-	batchState() (*tableState, int64)
-}
-
-// BatchScanOp scans a table's row store in contiguous chunks, transposing
-// each chunk into column slices and recording the epoch-visible rows in the
-// selection vector. Like ScanOp, state resolves lazily on the first
-// NextBatch, so building a plan (EXPLAIN) costs nothing. Column pruning:
-// when needed is non-nil, only those columns are materialized.
+// BatchScanOp reads a table batch by batch, transposing rows into column
+// slices and recording the rows visible at the reader's epoch in the
+// selection vector. It walks either the whole row store in order
+// (NewBatchScan, optionally narrowed by SetRange) or an index's RowID list
+// in the index's order (NewBatchIndexLookup, NewBatchIndexRange). The state
+// it reads — and the RowID list — resolve lazily on the first NextBatch, so
+// building a plan (EXPLAIN) costs nothing. Column pruning: when needed is
+// non-nil, only those columns are materialized.
 type BatchScanOp struct {
 	src      TableReader
 	schema   *Schema
@@ -190,22 +191,23 @@ type BatchScanOp struct {
 	size     int
 	batch    *Batch
 	cols     []int // resolved column positions to materialize
-	identity []int // pristine 0..size-1, copied into Sel (filters compact Sel in place)
 	resolved bool
 
-	// Direct row-store walk (Table / TableSnapshot).
 	st    *tableState
 	epoch int64
-	base  int
-	hi    int // exclusive scan bound; -1 = whole store (see SetRange)
+	base  int // next store position, or next index into ids
+	hi    int // exclusive store bound; -1 = whole store (see SetRange)
+
+	// RowID walk (index access paths): lookup yields the candidate ids in
+	// emission order once the state is pinned; nil for a store walk.
+	lookup   func() []RowID
+	ids      []RowID
+	identity []int // pristine 0..size-1, copied into Sel (filters compact Sel in place)
 
 	// Zone-map pruning (nil = none): zoneFilter decides page skips, zones
 	// holds the table's cached page zones, resolved lazily with the state.
 	zoneFilter ZoneFilter
 	zones      []PageZone
-
-	// Fallback for readers without a published state.
-	rows []Row
 }
 
 // NewBatchScan returns a batch scan over a table read surface. needed lists
@@ -218,16 +220,56 @@ func NewBatchScan(t TableReader, needed []int, size int) *BatchScanOp {
 	return &BatchScanOp{src: t, schema: t.Schema(), needed: needed, size: size, hi: -1}
 }
 
+// NewBatchIndexLookup is the equality access path over the hash index on
+// cols: a batch scan of the rows whose key equals one of keys (several
+// tuples serve IN-list plans), key by key in index order. It fails if no
+// such index exists or a key's arity differs from the index's.
+func NewBatchIndexLookup(t TableReader, cols []string, keys [][]Value, needed []int) (*BatchScanOp, error) {
+	ix, ok := t.HashIndexOn(cols...)
+	if !ok {
+		return nil, fmt.Errorf("relation: table %s has no hash index on %v", t.Name(), cols)
+	}
+	for _, k := range keys {
+		if len(k) != len(cols) {
+			return nil, fmt.Errorf("relation: index lookup key arity %d != %d", len(k), len(cols))
+		}
+	}
+	s := NewBatchScan(t, needed, 0)
+	s.lookup = func() []RowID {
+		var ids []RowID
+		for _, k := range keys {
+			ids = append(ids, ix.Lookup(k...)...)
+		}
+		return ids
+	}
+	return s, nil
+}
+
+// NewBatchIndexRange is the range access path over the ordered index on
+// col: a batch scan of the rows within the bounds, in ascending value order.
+// NULL bounds mean unbounded; NULL-valued rows are never produced. It fails
+// if no such index exists.
+func NewBatchIndexRange(t TableReader, col string, lo, hi Value, loIncl, hiIncl bool, needed []int) (*BatchScanOp, error) {
+	ix, ok := t.OrderedIndexOn(col)
+	if !ok {
+		return nil, fmt.Errorf("relation: table %s has no ordered index on %s", t.Name(), col)
+	}
+	s := NewBatchScan(t, needed, 0)
+	s.lookup = func() []RowID { return ix.RangeBounds(lo, hi, loIncl, hiIncl) }
+	return s, nil
+}
+
 // Schema implements BatchIterator.
 func (s *BatchScanOp) Schema() *Schema { return s.schema }
 
-// SetZoneFilter arms zone-map pruning: pages whose zones satisfy f are
-// skipped without transposing. Must be called before the first NextBatch.
+// SetZoneFilter arms zone-map pruning of a store walk: pages whose zones
+// satisfy f are skipped without transposing. Must be called before the
+// first NextBatch.
 func (s *BatchScanOp) SetZoneFilter(f ZoneFilter) { s.zoneFilter = f }
 
-// SetRange restricts the scan to row-store positions [lo, hi) and rewinds
-// the cursor, so one scan operator (and the pipeline compiled on top of it)
-// can be re-armed per morsel by a parallel worker. Bounds are clamped to the
+// SetRange restricts a store walk to positions [lo, hi) and rewinds the
+// cursor, so one scan operator (and the pipeline compiled on top of it) can
+// be re-armed per morsel by a parallel worker. Bounds are clamped to the
 // store at read time; page-aligned bounds keep zone pruning exact.
 func (s *BatchScanOp) SetRange(lo, hi int) {
 	s.base, s.hi = lo, hi
@@ -242,14 +284,25 @@ func (s *BatchScanOp) StoreLen() int {
 	if !s.resolved {
 		s.resolve()
 	}
-	if s.st != nil {
-		return len(s.st.rows)
-	}
-	return len(s.rows)
+	return len(s.st.rows)
 }
 
 func (s *BatchScanOp) resolve() {
 	s.resolved = true
+	// Pin the state before reading the index: a row is indexed before the
+	// state holding it is published, so every row of the pinned state is
+	// among the ids; ids past the state's end fail the visibility check.
+	s.st, s.epoch = s.src.batchState()
+	if s.lookup != nil {
+		s.ids = s.lookup()
+		s.size = max(1, min(s.size, len(s.ids))) // small lookups get small buffers
+		s.identity = make([]int, s.size)
+		for i := range s.identity {
+			s.identity[i] = i
+		}
+	} else if t := s.src.zoneTable(); t != nil && s.zoneFilter != nil {
+		s.zones = t.zonePages(s.st)
+	}
 	s.batch = &Batch{schema: s.schema, Cols: make([][]Value, s.schema.Len())}
 	s.cols = s.needed
 	if s.cols == nil {
@@ -262,22 +315,6 @@ func (s *BatchScanOp) resolve() {
 		s.batch.Cols[c] = make([]Value, s.size)
 	}
 	s.batch.Sel = make([]int, s.size)
-	s.identity = make([]int, s.size)
-	for i := range s.identity {
-		s.identity[i] = i
-	}
-	if bp, ok := s.src.(batchStater); ok {
-		s.st, s.epoch = bp.batchState()
-		if s.zoneFilter != nil {
-			if zt, ok := s.src.(zoneTabler); ok {
-				if t := zt.zoneTable(); t != nil {
-					s.zones = t.zonePages(s.st)
-				}
-			}
-		}
-		return
-	}
-	s.rows = s.src.Rows() // already visibility-filtered
 }
 
 // NextBatch implements BatchIterator.
@@ -285,12 +322,10 @@ func (s *BatchScanOp) NextBatch() (*Batch, bool) {
 	if !s.resolved {
 		s.resolve()
 	}
-	var store []Row
-	if s.st != nil {
-		store = s.st.rows
-	} else {
-		store = s.rows
+	if s.lookup != nil {
+		return s.nextByID()
 	}
+	store := s.st.rows
 	limit := len(store)
 	if s.hi >= 0 && s.hi < limit {
 		limit = s.hi
@@ -326,21 +361,16 @@ func (s *BatchScanOp) NextBatch() (*Batch, bool) {
 		// zone pruning, sound against concurrent deletes because it reads
 		// this scan's own pinned state.
 		sel := b.Sel[:s.size][:n]
-		if s.st != nil {
-			born, dead := s.st.born[s.base:end], s.st.dead[s.base:end]
-			k := 0
-			for i := 0; i < n; i++ {
-				if born[i] <= s.epoch && (dead[i] == 0 || dead[i] > s.epoch) {
-					sel[k] = i
-					k++
-				}
+		born, dead := s.st.born[s.base:end], s.st.dead[s.base:end]
+		k := 0
+		for i := 0; i < n; i++ {
+			if born[i] <= s.epoch && (dead[i] == 0 || dead[i] > s.epoch) {
+				sel[k] = i
+				k++
 			}
-			b.Sel = sel[:k]
-		} else {
-			copy(sel, s.identity[:n])
-			b.Sel = sel
 		}
-		if len(b.Sel) == 0 {
+		b.Sel = sel[:k]
+		if k == 0 {
 			s.base = end
 			continue
 		}
@@ -360,6 +390,38 @@ func (s *BatchScanOp) NextBatch() (*Batch, bool) {
 		zonePagesDecoded.Add(1)
 		return b, true
 	}
+}
+
+// nextByID packs the next visible rows of the RowID list densely into the
+// batch, in list order. Only the needed columns are copied, so the columns
+// an index consumed cost nothing when the plan reads them no further.
+func (s *BatchScanOp) nextByID() (*Batch, bool) {
+	b := s.batch
+	for _, j := range s.cols {
+		b.Cols[j] = b.Cols[j][:s.size]
+	}
+	k := 0
+	for ; s.base < len(s.ids) && k < s.size; s.base++ {
+		id := s.ids[s.base]
+		if !s.st.visible(id, s.epoch) {
+			continue
+		}
+		r := s.st.rows[id]
+		for _, j := range s.cols {
+			b.Cols[j][k] = r[j]
+		}
+		k++
+	}
+	if k == 0 {
+		return nil, false
+	}
+	for _, j := range s.cols {
+		b.Cols[j] = b.Cols[j][:k]
+	}
+	b.Sel = b.Sel[:k]
+	copy(b.Sel, s.identity)
+	b.n = k
+	return b, true
 }
 
 // ---------- Batch filter ----------
@@ -399,11 +461,10 @@ func (f *BatchFilterOp) NextBatch() (*Batch, bool) {
 
 // ---------- Batch project ----------
 
-// BatchProjExpr computes one output column of a projection. It is the
-// shared compiled form for both execution modes: the row-at-a-time path
-// converts it with RowProjExprs, the batch path evaluates pass-through
-// columns by aliasing the input slice and computed columns row-by-row over
-// a scratch row populated with just the columns the expression reads.
+// BatchProjExpr computes one output column of a projection. The batch
+// project evaluates pass-through columns by aliasing the input slice and
+// computed columns row-by-row over a scratch row populated with just the
+// columns the expression reads.
 type BatchProjExpr struct {
 	Name string
 	Type Type
@@ -423,23 +484,6 @@ type BatchProjExpr struct {
 // PassThrough builds a pass-through projection of input column pos.
 func PassThrough(name string, typ Type, pos int) BatchProjExpr {
 	return BatchProjExpr{Name: name, Type: typ, Input: pos}
-}
-
-// RowProjExprs converts compiled projection expressions to the row-at-a-time
-// form NewProject consumes.
-func RowProjExprs(exprs []BatchProjExpr) []ProjExpr {
-	out := make([]ProjExpr, len(exprs))
-	for i, e := range exprs {
-		pe := ProjExpr{Name: e.Name, Type: e.Type}
-		if e.Eval == nil {
-			pos := e.Input
-			pe.Eval = func(r Row) Value { return r[pos] }
-		} else {
-			pe.Eval = e.Eval
-		}
-		out[i] = pe
-	}
-	return out
 }
 
 // BatchProjectOp maps input batches through projection expressions.
@@ -508,17 +552,19 @@ func (p *BatchProjectOp) NextBatch() (*Batch, bool) {
 	return out, true
 }
 
-// ---------- Batch hash-join probe ----------
+// ---------- Batch hash join ----------
 
 // BatchHashJoinOp is the vectorized sibling of HashJoinOp: the build side
 // is drained into a hash table on first use (lazily, so EXPLAIN is free)
 // and the probe side streams batch-at-a-time, each selected probe row
 // emitting its matches into a column-oriented output batch. Output rows are
-// always left-columns-then-right regardless of which side builds.
+// always left-columns-then-right regardless of which side builds. Columns
+// an input pruned (nil in its batches) stay nil in the output.
 type BatchHashJoinOp struct {
 	probe     BatchIterator
-	buildSrc  Iterator
+	buildSrc  BatchIterator
 	buildRows map[string][]Row
+	buildLive []int // build columns materialized by any build batch
 	probeCols []int
 	buildCols []int
 	schema    *Schema
@@ -527,14 +573,15 @@ type BatchHashJoinOp struct {
 	buildIsLeft bool
 	built       bool
 	out         Batch
+	probeLive   []int
 	keyBuf      []byte
 }
 
-// NewBatchHashJoin joins a batched probe stream against a materialized
-// build stream on probeCols[i] == buildCols[i] (schema positions). When
-// buildIsLeft, output rows are build-row ++ probe-row; otherwise
-// probe-row ++ build-row. schema must be the concatenated output schema.
-func NewBatchHashJoin(probe BatchIterator, build Iterator, probeCols, buildCols []int, schema *Schema, buildIsLeft bool) (*BatchHashJoinOp, error) {
+// NewBatchHashJoin joins a batched probe stream against a build stream on
+// probeCols[i] == buildCols[i] (schema positions). When buildIsLeft, output
+// rows are build-row ++ probe-row; otherwise probe-row ++ build-row. schema
+// must be the concatenated output schema.
+func NewBatchHashJoin(probe, build BatchIterator, probeCols, buildCols []int, schema *Schema, buildIsLeft bool) (*BatchHashJoinOp, error) {
 	if len(probeCols) != len(buildCols) || len(probeCols) == 0 {
 		return nil, fmt.Errorf("relation: batch join requires equal, non-empty key lists")
 	}
@@ -549,19 +596,35 @@ func NewBatchHashJoin(probe BatchIterator, build Iterator, probeCols, buildCols 
 // Schema implements BatchIterator.
 func (j *BatchHashJoinOp) Schema() *Schema { return j.schema }
 
+// build drains the build side into the hash table. Each build batch's
+// selected rows are copied into one slab, since batch buffers are reused.
 func (j *BatchHashJoinOp) build() {
 	j.buildRows = make(map[string][]Row)
+	width := j.buildSrc.Schema().Len()
+	live := make([]bool, width)
 	for {
-		r, ok := j.buildSrc.Next()
+		b, ok := j.buildSrc.NextBatch()
 		if !ok {
 			break
 		}
-		key, ok := appendJoinKey(j.keyBuf[:0], r, j.buildCols)
-		j.keyBuf = key
-		if !ok {
-			continue
+		slab := make([]Value, len(b.Sel)*width)
+		for k, i := range b.Sel {
+			key, ok := appendBatchJoinKey(j.keyBuf[:0], b, i, j.buildCols)
+			j.keyBuf = key
+			if !ok {
+				continue
+			}
+			r := b.row(i, slab[k*width:(k+1)*width:(k+1)*width])
+			j.buildRows[string(key)] = append(j.buildRows[string(key)], r)
 		}
-		j.buildRows[string(key)] = append(j.buildRows[string(key)], r)
+		for c, col := range b.Cols {
+			live[c] = live[c] || col != nil
+		}
+	}
+	for c, l := range live {
+		if l {
+			j.buildLive = append(j.buildLive, c)
+		}
 	}
 	j.built = true
 }
@@ -586,11 +649,10 @@ func (j *BatchHashJoinOp) NextBatch() (*Batch, bool) {
 		j.build()
 	}
 	probeWidth := j.probe.Schema().Len()
-	buildWidth := j.schema.Len() - probeWidth
-	// Output column ranges for the two sides.
+	// Output column offsets of the two sides.
 	probeBase, buildBase := 0, probeWidth
 	if j.buildIsLeft {
-		probeBase, buildBase = buildWidth, 0
+		probeBase, buildBase = j.schema.Len()-probeWidth, 0
 	}
 	for {
 		b, ok := j.probe.NextBatch()
@@ -599,9 +661,20 @@ func (j *BatchHashJoinOp) NextBatch() (*Batch, bool) {
 		}
 		out := &j.out
 		out.reset()
-		for c := range out.Cols {
-			if out.Cols[c] == nil {
-				out.Cols[c] = make([]Value, 0, DefaultBatchSize)
+		j.probeLive = j.probeLive[:0]
+		for c, col := range b.Cols {
+			if col == nil {
+				out.Cols[probeBase+c] = nil
+				continue
+			}
+			j.probeLive = append(j.probeLive, c)
+			if out.Cols[probeBase+c] == nil {
+				out.Cols[probeBase+c] = make([]Value, 0, DefaultBatchSize)
+			}
+		}
+		for _, c := range j.buildLive {
+			if out.Cols[buildBase+c] == nil {
+				out.Cols[buildBase+c] = make([]Value, 0, DefaultBatchSize)
 			}
 		}
 		n := 0
@@ -612,10 +685,10 @@ func (j *BatchHashJoinOp) NextBatch() (*Batch, bool) {
 				continue
 			}
 			for _, m := range j.buildRows[string(key)] {
-				for c := 0; c < probeWidth; c++ {
+				for _, c := range j.probeLive {
 					out.Cols[probeBase+c] = append(out.Cols[probeBase+c], b.Cols[c][i])
 				}
-				for c := 0; c < buildWidth; c++ {
+				for _, c := range j.buildLive {
 					out.Cols[buildBase+c] = append(out.Cols[buildBase+c], m[c])
 				}
 				out.Sel = append(out.Sel, n)

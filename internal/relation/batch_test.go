@@ -265,15 +265,93 @@ func TestBatchHashJoinMatchesRowHashJoin(t *testing.T) {
 		var bj *BatchHashJoinOp
 		if buildLeft {
 			// Probe side is the right table.
-			bj, err = NewBatchHashJoin(NewBatchScan(right, nil, 97), NewScan(left), []int{0}, []int{1}, schema, true)
+			bj, err = NewBatchHashJoin(NewBatchScan(right, nil, 97), NewBatchScan(left, nil, 0), []int{0}, []int{1}, schema, true)
 		} else {
-			bj, err = NewBatchHashJoin(NewBatchScan(left, nil, 97), NewScan(right), []int{1}, []int{0}, schema, false)
+			bj, err = NewBatchHashJoin(NewBatchScan(left, nil, 97), NewBatchScan(right, nil, 0), []int{1}, []int{0}, schema, false)
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := collectBatches(t, bj)
 		// The row join streams probe-side order; the batch join does too.
+		rowsEqual(t, got, want)
+		if len(want) == 0 {
+			t.Fatal("join produced no rows; weak test data")
+		}
+	}
+}
+
+// RowProjExprs converts compiled projection expressions to the row-at-a-time
+// form NewProject consumes, so the row project can serve as the batch
+// project's reference.
+func RowProjExprs(exprs []BatchProjExpr) []ProjExpr {
+	out := make([]ProjExpr, len(exprs))
+	for i, e := range exprs {
+		pe := ProjExpr{Name: e.Name, Type: e.Type}
+		if e.Eval == nil {
+			pos := e.Input
+			pe.Eval = func(r Row) Value { return r[pos] }
+		} else {
+			pe.Eval = e.Eval
+		}
+		out[i] = pe
+	}
+	return out
+}
+
+// TestBatchHashJoinKeepsPrunedColumnsNil joins two column-pruned scans: the
+// output carries the inputs' materialized columns and leaves the pruned
+// ones nil, whichever side builds.
+func TestBatchHashJoinKeepsPrunedColumnsNil(t *testing.T) {
+	db, left := randomBatchTable(t, rand.New(rand.NewSource(12)), 300)
+	right, err := db.CreateTable("r", MustSchema(
+		Column{Name: "n", Type: TInt},
+		Column{Name: "tag", Type: TText},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if _, err := right.Insert(Row{Int(int64(i)), Text(fmt.Sprintf("t%d", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	schema, err := Concat(left.Schema(), right.Schema(), "r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, buildLeft := range []bool{false, true} {
+		rj, err := NewHashJoinBuildSide(NewScan(left), NewScan(right), []string{"n"}, []string{"n"}, "r", buildLeft)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []Row
+		for _, r := range Collect(rj) {
+			want = append(want, Row{Value{}, r[1], Value{}, r[3], r[4]}) // left k and v pruned
+		}
+		lscan, rscan := NewBatchScan(left, []int{1}, 64), NewBatchScan(right, []int{0, 1}, 64)
+		var bj *BatchHashJoinOp
+		if buildLeft {
+			bj, err = NewBatchHashJoin(rscan, lscan, []int{0}, []int{1}, schema, true)
+		} else {
+			bj, err = NewBatchHashJoin(lscan, rscan, []int{1}, []int{0}, schema, false)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Row
+		for {
+			b, ok := bj.NextBatch()
+			if !ok {
+				break
+			}
+			if b.Cols[0] != nil || b.Cols[2] != nil {
+				t.Fatalf("buildLeft=%v: pruned left columns materialized", buildLeft)
+			}
+			for _, i := range b.Sel {
+				got = append(got, b.row(i, nil))
+			}
+		}
 		rowsEqual(t, got, want)
 		if len(want) == 0 {
 			t.Fatal("join produced no rows; weak test data")

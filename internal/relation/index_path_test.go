@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -210,7 +211,9 @@ func TestIndexLookupOp(t *testing.T) {
 	if _, err := tab.CreateHashIndex("name"); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ {
+	// More rows per key than one batch holds, so emission spans batches.
+	const n = 2*DefaultBatchSize + 10
+	for i := 0; i < n; i++ {
 		name := "a"
 		if i%2 == 0 {
 			name = "b"
@@ -219,42 +222,158 @@ func TestIndexLookupOp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	op, err := NewIndexLookup(tab, []string{"name"}, [][]Value{{Text("a")}})
+	op, err := NewBatchIndexLookup(tab, []string{"name"}, [][]Value{{Text("a")}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(Collect(op)); got != 3 {
-		t.Fatalf("lookup a: %d rows, want 3", got)
-	}
-	// Multi-tuple (IN) lookup.
-	op, err = NewIndexLookup(tab, []string{"name"}, [][]Value{{Text("a")}, {Text("b")}})
+	rowsEqual(t, collectBatches(t, op), tab.RowsByIDs(mustHashIndex(t, tab, "name").Lookup(Text("a"))))
+	// Multi-tuple (IN) lookup: key by key, each key's rows in index order.
+	op, err = NewBatchIndexLookup(tab, []string{"name"}, [][]Value{{Text("b")}, {Text("a")}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(Collect(op)); got != 6 {
-		t.Fatalf("lookup a,b: %d rows, want 6", got)
+	rows := collectBatches(t, op)
+	if len(rows) != n {
+		t.Fatalf("lookup b,a: %d rows, want %d", len(rows), n)
 	}
-	if _, err := NewIndexLookup(tab, []string{"score"}, [][]Value{{Float(1)}}); err == nil {
+	if rows[0][1].AsText() != "b" || rows[n-1][1].AsText() != "a" || rows[n/2][1].AsText() != "a" {
+		t.Fatalf("lookup b,a: not emitted key by key: first %v, middle %v, last %v", rows[0], rows[n/2], rows[n-1])
+	}
+	if _, err := NewBatchIndexLookup(tab, []string{"score"}, [][]Value{{Float(1)}}, nil); err == nil {
 		t.Fatal("lookup without index must fail")
+	}
+	if _, err := NewBatchIndexLookup(tab, []string{"name"}, [][]Value{{Text("a"), Int(1)}}, nil); err == nil {
+		t.Fatal("lookup with a key of the wrong arity must fail")
 	}
 }
 
+func mustHashIndex(t *testing.T, tab *Table, cols ...string) *HashIndex {
+	t.Helper()
+	ix, ok := tab.HashIndexOn(cols...)
+	if !ok {
+		t.Fatalf("no hash index on %v", cols)
+	}
+	return ix
+}
+
 func TestIndexRangeOp(t *testing.T) {
-	tab, _ := scoreTable(t, []Value{Float(0.1), Float(0.4), Float(0.6), Float(0.9)})
-	op, err := NewIndexRange(tab, "score", Float(0.2), Float(0.7), true, true)
+	tab, _ := scoreTable(t, []Value{Float(0.9), Null(), Float(0.4), Float(0.1), Float(0.6), Null()})
+	op, err := NewBatchIndexRange(tab, "score", Float(0.2), Float(0.7), true, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := Collect(op)
+	rows := collectBatches(t, op)
 	if len(rows) != 2 {
 		t.Fatalf("range rows = %d, want 2", len(rows))
 	}
-	// Rows come back in ascending value order.
+	// Rows come back in ascending value order, not insertion order.
 	if rows[0][2].AsFloat() != 0.4 || rows[1][2].AsFloat() != 0.6 {
 		t.Fatalf("range order wrong: %v", rows)
 	}
-	if _, err := NewIndexRange(tab, "name", Null(), Null(), true, true); err == nil {
+	// Unbounded below: NULL-valued rows are never produced.
+	op, err = NewBatchIndexRange(tab, "score", Null(), Float(0.6), true, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows = collectBatches(t, op)
+	if len(rows) != 2 || rows[0][2].AsFloat() != 0.1 || rows[1][2].AsFloat() != 0.4 {
+		t.Fatalf("score < 0.6 = %v, want 0.1, 0.4", rows)
+	}
+	if _, err := NewBatchIndexRange(tab, "name", Null(), Null(), true, true, nil); err == nil {
 		t.Fatal("range without index must fail")
+	}
+}
+
+// TestIndexScanPrunesColumns checks that an index scan materializes only
+// the columns it is asked for.
+func TestIndexScanPrunesColumns(t *testing.T) {
+	tab, _ := scoreTable(t, []Value{Float(0.1), Float(0.4), Float(0.6)})
+	op, err := NewBatchIndexRange(tab, "score", Float(0.3), Null(), true, true, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, ok := op.NextBatch()
+	if !ok || b.Len() != 2 {
+		t.Fatalf("want one batch of 2 rows, got ok=%v", ok)
+	}
+	if b.Cols[1] != nil || b.Cols[2] != nil {
+		t.Fatal("pruned columns were materialized")
+	}
+	if b.Cols[0][b.Sel[0]].AsInt() != 1 || b.Cols[0][b.Sel[1]].AsInt() != 2 {
+		t.Fatalf("ids = %v, want [1 2]", b.Cols[0][:b.Size()])
+	}
+	if _, ok := op.NextBatch(); ok {
+		t.Fatal("scan did not end")
+	}
+}
+
+// TestIndexScanPinnedSnapshotVisibility pins a snapshot while a matching
+// row is in flight, then tombstones a matching row and inserts more: index
+// scans over the pinned view must keep seeing exactly the committed rows of
+// the pin, while scans over the live table see every later write.
+func TestIndexScanPinnedSnapshotVisibility(t *testing.T) {
+	db := NewDatabase()
+	tab, err := db.CreateTable("t", testSchema(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.CreateHashIndex("name"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.CreateOrderedIndex("score"); err != nil {
+		t.Fatal(err)
+	}
+	var ids []RowID
+	for i := 0; i < 6; i++ {
+		id, err := tab.Insert(Row{Int(int64(i)), Text("x"), Float(float64(i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	tab.Delete(ids[0]) // tombstoned before the pin
+	db.AdvanceEpoch()
+	insert := func(i int) {
+		if _, err := tab.Insert(Row{Int(int64(i)), Text("x"), Float(float64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert(6) // in flight at the pin: in the pinned state, born after its epoch
+	snap := db.Snapshot()
+	defer snap.Release()
+	view, _ := snap.Table("t")
+
+	tab.Delete(ids[1]) // tombstoned after the pin, never committed
+	insert(7)          // past the end of the pinned state
+	insert(8)
+
+	ids1to5 := []int64{1, 2, 3, 4, 5}
+	lookup, err := NewBatchIndexLookup(view, []string{"name"}, [][]Value{{Text("x")}}, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectIDs(t, "pinned lookup", collectBatches(t, lookup), ids1to5)
+	rng, err := NewBatchIndexRange(view, "score", Float(0), Null(), true, true, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectIDs(t, "pinned range", collectBatches(t, rng), ids1to5)
+
+	live, err := NewBatchIndexRange(tab, "score", Float(0), Null(), true, true, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectIDs(t, "live range", collectBatches(t, live), []int64{2, 3, 4, 5, 6, 7, 8})
+}
+
+func expectIDs(t *testing.T, what string, rows []Row, want []int64) {
+	t.Helper()
+	got := make([]int64, len(rows))
+	for i, r := range rows {
+		got[i] = r[0].AsInt()
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%s: ids %v, want %v", what, got, want)
 	}
 }
 

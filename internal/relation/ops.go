@@ -71,46 +71,6 @@ func (s *ScanOp) Next() (Row, bool) {
 	return r, true
 }
 
-// ---------- Index access paths ----------
-
-// NewIndexLookup builds the equality-index access path over the hash index
-// covering cols: each entry of keys is one full key tuple (multiple tuples
-// serve IN-list plans). The lookup resolves lazily on first Next, filtering
-// candidate ids through the reader's row visibility. It fails if no such
-// index exists.
-func NewIndexLookup(t TableReader, cols []string, keys [][]Value) (*ScanOp, error) {
-	ix, ok := t.HashIndexOn(cols...)
-	if !ok {
-		return nil, fmt.Errorf("relation: table %s has no hash index on %v", t.Name(), cols)
-	}
-	for _, k := range keys {
-		if len(k) != len(cols) {
-			return nil, fmt.Errorf("relation: index lookup key arity %d != %d", len(k), len(cols))
-		}
-	}
-	return NewLazyScan(t.Schema(), func() []Row {
-		var ids []RowID
-		for _, k := range keys {
-			ids = append(ids, ix.Lookup(k...)...)
-		}
-		return t.RowsByIDs(ids)
-	}), nil
-}
-
-// NewIndexRange builds the range-index access path over the ordered index on
-// col, producing matching rows in ascending value order. NULL bounds mean
-// unbounded; NULL-valued rows are never produced. The range resolves lazily
-// on first Next, filtering candidate ids through the reader's visibility.
-func NewIndexRange(t TableReader, col string, lo, hi Value, loIncl, hiIncl bool) (*ScanOp, error) {
-	ix, ok := t.OrderedIndexOn(col)
-	if !ok {
-		return nil, fmt.Errorf("relation: table %s has no ordered index on %s", t.Name(), col)
-	}
-	return NewLazyScan(t.Schema(), func() []Row {
-		return t.RowsByIDs(ix.RangeBounds(lo, hi, loIncl, hiIncl))
-	}), nil
-}
-
 // ---------- Filter ----------
 
 // Predicate decides whether a row passes a filter.

@@ -392,8 +392,8 @@ func (s *tableState) rowsByIDsAt(epoch int64, ids []RowID) []Row {
 	return out
 }
 
-// RowsByIDs returns the live rows among ids in the given order. Index access
-// paths use it to fetch the rows an index lookup produced.
+// RowsByIDs returns the live rows among ids in the given order, e.g. the
+// candidates an index lookup produced.
 func (t *Table) RowsByIDs(ids []RowID) []Row {
 	return t.state.Load().rowsByIDsAt(latestEpoch, ids)
 }
@@ -626,6 +626,13 @@ type TableReader interface {
 	OrderedIndexOn(col string) (*OrderedIndex, bool)
 	HashIndexColumns() [][]string
 	OrderedIndexColumns() []string
+
+	// batchState exposes the published state and the epoch batch scans
+	// filter visibility at, and zoneTable the table whose zone cache they
+	// prune by. Being unexported, they also seal the interface: Table and
+	// TableSnapshot are its only implementations.
+	batchState() (*tableState, int64)
+	zoneTable() *Table
 }
 
 var (

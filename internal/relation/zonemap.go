@@ -78,12 +78,8 @@ type zoneCache struct {
 	pages []PageZone
 }
 
-// zoneTabler is the internal surface through which a batch scan reaches the
-// zone cache of the table backing its read surface.
-type zoneTabler interface {
-	zoneTable() *Table
-}
-
+// zoneTable is how a batch scan reaches the zone cache of the table backing
+// its read surface (nil for a hand-built snapshot).
 func (t *Table) zoneTable() *Table         { return t }
 func (v *TableSnapshot) zoneTable() *Table { return v.owner }
 

@@ -501,31 +501,19 @@ func (b binder) kernelize(e Expr) relation.BatchPredicate {
 			}
 			return orKernel(l, r)
 		case "=", "!=", "<", "<=", ">", ">=":
-			if lref, ok := x.Left.(*ColumnRef); ok {
-				if rref, ok := x.Right.(*ColumnRef); ok {
-					lp, lerr := b.resolve(lref)
-					rp, rerr := b.resolve(rref)
-					if lerr != nil || rerr != nil {
-						return nil
-					}
-					return colColKernel(lp, rp, x.Op)
+			lref, lok := x.Left.(*ColumnRef)
+			rref, rok := x.Right.(*ColumnRef)
+			if lok && rok {
+				lp, lerr := b.resolve(lref)
+				rp, rerr := b.resolve(rref)
+				if lerr != nil || rerr != nil {
+					return nil
 				}
-				if lit, ok := literalOf(x.Right); ok {
-					p, err := b.resolve(lref)
-					if err != nil {
-						return nil
-					}
-					return colLitKernel(p, lit, x.Op)
-				}
+				return colColKernel(lp, rp, x.Op)
 			}
-			if rref, ok := x.Right.(*ColumnRef); ok {
-				if lit, ok := literalOf(x.Left); ok {
-					p, err := b.resolve(rref)
-					if err != nil {
-						return nil
-					}
-					var flip = map[string]string{"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-					return colLitKernel(p, lit, flip[x.Op])
+			if ref, lit, op, ok := colCmpLit(x); ok {
+				if p, err := b.resolve(ref); err == nil {
+					return colLitKernel(p, lit, op)
 				}
 			}
 		}

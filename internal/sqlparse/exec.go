@@ -28,7 +28,7 @@ type ExecOptions struct {
 	// ScanWorkers caps the morsel-driven parallel scan worker pool. 0 means
 	// GOMAXPROCS; 1 forces serial execution. The effective pool is
 	// min(GOMAXPROCS, ScanWorkers), and never more than one worker per
-	// morsel (see tryParallel).
+	// morsel (see fanOut).
 	ScanWorkers int
 }
 
@@ -43,18 +43,66 @@ func Execute(cat relation.Catalog, stmt *SelectStmt) (*Result, error) {
 
 // ExecuteOptions is Execute with execution tuning.
 func ExecuteOptions(cat relation.Catalog, stmt *SelectStmt, opts ExecOptions) (*Result, error) {
-	return execute(cat, stmt, false, opts)
+	return execute(cat, stmt, func(cat relation.Catalog, ctx *execCtx) (*compiled, error) {
+		in, err := planInput(cat, stmt, ctx)
+		if err != nil {
+			return nil, err
+		}
+		return compileSelect(in, stmt, ctx, EffectiveScanWorkers(opts.ScanWorkers))
+	})
 }
 
 // ExecuteScan runs a parsed statement with the planner disabled: every table
-// is fully scanned serially and the WHERE clause filters the joined stream
-// post hoc. It is the reference implementation the planner is
-// property-tested against and the baseline the C8–C10 benchmarks measure.
+// is fully scanned row by row, joins build on the right, and the WHERE
+// clause filters the joined rows post hoc (see scanInput). It is the
+// reference implementation the planner is property-tested against and the
+// baseline the C8–C10 benchmarks measure.
 func ExecuteScan(cat relation.Catalog, stmt *SelectStmt) (*Result, error) {
-	return execute(cat, stmt, true, ExecOptions{ScanWorkers: 1})
+	return execute(cat, stmt, func(cat relation.Catalog, ctx *execCtx) (*compiled, error) {
+		rows, err := scanInput(cat, stmt, ctx)
+		if err != nil {
+			return nil, err
+		}
+		in := &input{it: relation.NewBatchFromRows(rows, 0), node: &PlanNode{Op: "RowScan", Detail: "reference executor"}}
+		return compileSelect(in, stmt, ctx, 1)
+	})
 }
 
-func execute(cat relation.Catalog, stmt *SelectStmt, naive bool, opts ExecOptions) (*Result, error) {
+// scanInput is the reference FROM/JOIN/WHERE: row-at-a-time full scans,
+// hash joins building on the right input, and the whole WHERE clause over
+// the joined rows.
+func scanInput(cat relation.Catalog, stmt *SelectStmt, ctx *execCtx) (relation.Iterator, error) {
+	it, err := cat.Source(stmt.From.Name)
+	if err != nil {
+		return nil, err
+	}
+	for _, j := range stmt.Joins {
+		right, err := cat.Source(j.Table.Name)
+		if err != nil {
+			return nil, err
+		}
+		leftCols, rightCols, residual, err := splitJoinOn(j.On, it.Schema(), right.Schema(), j.Table.Binding())
+		if err != nil {
+			return nil, err
+		}
+		if it, err = relation.NewHashJoin(it, right, leftCols, rightCols, j.Table.Binding()); err != nil {
+			return nil, err
+		}
+		if residual != nil {
+			if it, err = applyRowFilter(ctx, it, residual); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if stmt.Where != nil {
+		return applyRowFilter(ctx, it, stmt.Where)
+	}
+	return it, nil
+}
+
+// execute pins the statement's AS OF epoch, compiles it with plan, and runs
+// it (or renders its plan, for EXPLAIN).
+func execute(cat relation.Catalog, stmt *SelectStmt, plan func(relation.Catalog, *execCtx) (*compiled, error)) (*Result, error) {
 	if stmt.AsOf != nil {
 		if stmt.AsOf.ByTime {
 			// Timestamp resolution needs the session's epoch↔timestamp map;
@@ -74,31 +122,9 @@ func execute(cat relation.Catalog, stmt *SelectStmt, naive bool, opts ExecOption
 		cat = pinned
 	}
 	ctx := &execCtx{}
-	var c *compiled
-	if !naive {
-		// Morsel-driven parallel full scan, when the statement qualifies; on
-		// any disqualification or compile error the serial path below runs
-		// and surfaces the identical error.
-		if pc, pctx := tryParallel(cat, stmt, opts); pc != nil {
-			c, ctx = pc, pctx
-		}
-	}
-	if c == nil {
-		in, inNode, err := planInput(cat, stmt, ctx, naive)
-		if err != nil {
-			return nil, err
-		}
-		if stmt.HasAggregates() || len(stmt.GroupBy) > 0 {
-			c, err = compileAggregate(in, inNode, stmt, ctx)
-		} else {
-			if stmt.Having != nil {
-				return nil, fmt.Errorf("sql: HAVING requires GROUP BY or aggregates")
-			}
-			c, err = compileSimple(in, inNode, stmt, ctx)
-		}
-		if err != nil {
-			return nil, err
-		}
+	c, err := plan(cat, ctx)
+	if err != nil {
+		return nil, err
 	}
 
 	if stmt.Explain {
@@ -120,6 +146,64 @@ func execute(cat relation.Catalog, stmt *SelectStmt, naive bool, opts ExecOption
 		}
 	}
 	return &Result{Columns: c.columns, Rows: rows}, nil
+}
+
+// compileSelect stacks the statement's output operators on its planned
+// input. The pipeline up to the projection — or, for an aggregate, up to
+// the pre-projection of group keys and arguments — is compiled once and
+// runs as a lazy serial stream, unless fanOut lets a full scan run it on
+// several morsel workers (see gather).
+func compileSelect(in *input, stmt *SelectStmt, ctx *execCtx, workers int) (*compiled, error) {
+	agg := stmt.HasAggregates() || len(stmt.GroupBy) > 0
+	if !agg && stmt.Having != nil {
+		return nil, fmt.Errorf("sql: HAVING requires GROUP BY or aggregates")
+	}
+	schema := in.it.Schema()
+	var (
+		sp    *simplePlan
+		ap    *aggPlan
+		items []projItem
+		err   error
+	)
+	if agg {
+		if ap, err = buildAggPlan(stmt); err != nil {
+			return nil, err
+		}
+		items = ap.pre
+	} else {
+		if sp, err = buildSimplePlan(stmt, schema); err != nil {
+			return nil, err
+		}
+		items = sp.items
+	}
+	project := func(it relation.BatchIterator) (relation.BatchIterator, error) {
+		exprs := make([]relation.BatchProjExpr, 0, len(items))
+		for _, item := range items {
+			e, err := compileProjExpr(binder{schema: schema}, ctx, item.expr, item.name, item.captureErr)
+			if err != nil {
+				return nil, err
+			}
+			exprs = append(exprs, e)
+		}
+		return relation.NewBatchProject(it, exprs)
+	}
+	top, err := project(in.it)
+	if err != nil {
+		return nil, err
+	}
+	if n, morsels := fanOut(in, stmt, agg, workers); n > 1 {
+		return gather(in, top, project, n, morsels, stmt, ctx, sp, ap)
+	}
+	if agg {
+		grouped, err := relation.NewBatchGroup(top, ap.groupCols, ap.specs)
+		if err != nil {
+			return nil, err
+		}
+		node := &PlanNode{Op: "Aggregate", Detail: aggDetail(ap.groupCols, ap.rw.calls), Batched: true, Children: []*PlanNode{in.node}}
+		return compileAggPost(grouped, node, stmt, ctx, ap)
+	}
+	node := &PlanNode{Op: "Project", Detail: "[" + strings.Join(sp.visible, ", ") + "]", Batched: true, Children: []*PlanNode{in.node}}
+	return finishSimple(relation.NewRowsFromBatches(top), node, stmt, sp)
 }
 
 // compiled is a fully planned statement: the operator pipeline, the plan tree
@@ -194,12 +278,12 @@ func flattenAnd(e Expr) []Expr {
 	return []Expr{e}
 }
 
-// compileProjExpr compiles one output expression into the shared projection
-// form both execution modes consume: a plain column reference becomes a
-// pass-through (the batch path aliases the column, zero work per row);
-// anything else compiles to a row closure plus the set of input columns it
-// reads. captureErr=false mirrors the hidden-sort-column behavior, where
-// evaluation errors are dropped rather than surfaced.
+// compileProjExpr compiles one output expression for a batch projection: a
+// plain column reference becomes a pass-through (the projection aliases the
+// column, zero work per row); anything else compiles to a row closure plus
+// the set of input columns it reads. captureErr=false mirrors the
+// hidden-sort-column behavior, where evaluation errors are dropped rather
+// than surfaced.
 func compileProjExpr(b binder, ctx *execCtx, e Expr, name string, captureErr bool) (relation.BatchProjExpr, error) {
 	if cr, ok := e.(*ColumnRef); ok {
 		if i, err := b.resolve(cr); err == nil {
@@ -230,21 +314,6 @@ func compileProjExpr(b binder, ctx *execCtx, e Expr, name string, captureErr boo
 	return out, nil
 }
 
-// project applies the compiled projection to the stream in its native mode
-// and returns the (row-at-a-time) downstream iterator: projection is the
-// last vectorized operator of a simple pipeline, so its output converts to
-// rows for sort/distinct/limit/materialization.
-func project(in pipe, exprs []relation.BatchProjExpr) (relation.Iterator, error) {
-	if in.batched() {
-		bp, err := relation.NewBatchProject(in.batch, exprs)
-		if err != nil {
-			return nil, err
-		}
-		return relation.NewRowsFromBatches(bp), nil
-	}
-	return relation.NewProject(in.rows, relation.RowProjExprs(exprs))
-}
-
 // projItem is one projection output awaiting compilation: the expression,
 // its output name, and whether evaluation errors surface (hidden sort
 // columns drop them).
@@ -255,10 +324,9 @@ type projItem struct {
 }
 
 // simplePlan is the AST-level shape of a non-aggregate statement — output
-// items, hidden sort columns, sort keys — computed once per statement. The
-// serial path compiles it into one pipeline; the parallel path compiles it
-// once per worker (compiled closures hold per-pipeline scratch state, so
-// they cannot be shared across goroutines).
+// items, hidden sort columns, sort keys — computed once per statement and
+// compiled once per pipeline copy: compiled closures hold per-pipeline
+// scratch state, so morsel workers cannot share them.
 type simplePlan struct {
 	items       []projItem
 	visible     []string
@@ -310,20 +378,6 @@ func buildSimplePlan(stmt *SelectStmt, schema *relation.Schema) (*simplePlan, er
 	return sp, nil
 }
 
-// compileSimpleExprs compiles the plan's projection items against one
-// pipeline's binder, registering error slots on ctx.
-func compileSimpleExprs(b binder, ctx *execCtx, sp *simplePlan) ([]relation.BatchProjExpr, error) {
-	exprs := make([]relation.BatchProjExpr, 0, len(sp.items))
-	for _, it := range sp.items {
-		e, err := compileProjExpr(b, ctx, it.expr, it.name, it.captureErr)
-		if err != nil {
-			return nil, err
-		}
-		exprs = append(exprs, e)
-	}
-	return exprs, nil
-}
-
 // finishSimple stacks the post-projection operators (DISTINCT, ORDER BY,
 // LIMIT) on an already-projected row stream. Shared by the serial and
 // parallel paths: relation.NewSort is stable, so sorting a parallel result
@@ -346,24 +400,6 @@ func finishSimple(it relation.Iterator, node *PlanNode, stmt *SelectStmt, sp *si
 		node = &PlanNode{Op: "Limit", Detail: limitDetail(stmt), Children: []*PlanNode{node}}
 	}
 	return &compiled{it: it, plan: node, columns: sp.visible, hidden: sp.nHidden}, nil
-}
-
-// compileSimple handles the non-aggregate path.
-func compileSimple(in pipe, inNode *PlanNode, stmt *SelectStmt, ctx *execCtx) (*compiled, error) {
-	sp, err := buildSimplePlan(stmt, in.schema())
-	if err != nil {
-		return nil, err
-	}
-	exprs, err := compileSimpleExprs(binder{schema: in.schema()}, ctx, sp)
-	if err != nil {
-		return nil, err
-	}
-	it, err := project(in, exprs)
-	if err != nil {
-		return nil, err
-	}
-	node := &PlanNode{Op: "Project", Detail: "[" + strings.Join(sp.visible, ", ") + "]", Batched: in.batched(), Children: []*PlanNode{inNode}}
-	return finishSimple(it, node, stmt, sp)
 }
 
 func orderItemSQL(oi OrderItem) string {
@@ -462,60 +498,6 @@ func buildAggPlan(stmt *SelectStmt) (*aggPlan, error) {
 	return ap, nil
 }
 
-// compileAggPre compiles the pre-projection (group keys and aggregate
-// arguments) against one pipeline's binder.
-func compileAggPre(b binder, ctx *execCtx, ap *aggPlan) ([]relation.BatchProjExpr, error) {
-	pre := make([]relation.BatchProjExpr, 0, len(ap.pre))
-	for _, it := range ap.pre {
-		e, err := compileProjExpr(b, ctx, it.expr, it.name, it.captureErr)
-		if err != nil {
-			return nil, err
-		}
-		pre = append(pre, e)
-	}
-	return pre, nil
-}
-
-// compileAggregate handles GROUP BY / aggregate queries by (1) pre-projecting
-// group keys and aggregate arguments, (2) hash aggregation, (3) rewriting the
-// select list, HAVING and ORDER BY to reference the aggregated schema. On a
-// batched input, (1) and (2) run vectorized: pre-projection aliases plain
-// column references and hash aggregation reads column slices directly, so a
-// full-scan GROUP BY allocates nothing per input row.
-func compileAggregate(in pipe, inNode *PlanNode, stmt *SelectStmt, ctx *execCtx) (*compiled, error) {
-	ap, err := buildAggPlan(stmt)
-	if err != nil {
-		return nil, err
-	}
-	pre, err := compileAggPre(binder{schema: in.schema()}, ctx, ap)
-	if err != nil {
-		return nil, err
-	}
-
-	var grouped relation.Iterator
-	if in.batched() {
-		proj, err := relation.NewBatchProject(in.batch, pre)
-		if err != nil {
-			return nil, err
-		}
-		grouped, err = relation.NewBatchGroup(proj, ap.groupCols, ap.specs)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		proj, err := relation.NewProject(in.rows, relation.RowProjExprs(pre))
-		if err != nil {
-			return nil, err
-		}
-		grouped, err = relation.NewGroup(proj, ap.groupCols, ap.specs)
-		if err != nil {
-			return nil, err
-		}
-	}
-	node := &PlanNode{Op: "Aggregate", Detail: aggDetail(ap.groupCols, ap.rw.calls), Batched: in.batched(), Children: []*PlanNode{inNode}}
-	return compileAggPost(grouped, node, stmt, ctx, ap)
-}
-
 // compileAggPost stacks the post-aggregation half of the pipeline — HAVING,
 // select-list rewrite, DISTINCT, ORDER BY, LIMIT — on an aggregated row
 // stream. Shared by the serial path and the parallel path (where the input
@@ -528,7 +510,7 @@ func compileAggPost(grouped relation.Iterator, node *PlanNode, stmt *SelectStmt,
 	if stmt.Having != nil {
 		hexpr := rw.rewrite(stmt.Having, groupSQL)
 		var err error
-		out, err = applyFilter(ctx, out, hexpr)
+		out, err = applyRowFilter(ctx, out, hexpr)
 		if err != nil {
 			return nil, err
 		}

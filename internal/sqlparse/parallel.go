@@ -10,14 +10,17 @@ import (
 	"flordb/internal/relation"
 )
 
-// Morsel-driven parallel scan execution. A qualifying single-table statement
-// is compiled into one scan→filter→project (or scan→filter→partial-aggregate)
-// pipeline per worker; the table's physical row store is carved into
-// page-aligned morsels and workers claim them from a shared atomic counter,
-// re-arming their own scan operator per morsel via SetRange. Nothing below
-// the sink is shared between workers — each pipeline has its own batch
-// buffers, compiled closures, and scratch rows — so the only cross-goroutine
-// traffic is the morsel counter and the per-morsel output slots.
+// Morsel-driven parallel scan execution. When a single-table statement reads
+// its table through a full scan, the executor may run the compiled
+// scan→filter→project (or scan→filter→pre-aggregate) pipeline on several
+// workers: the table's physical row store is carved into page-aligned
+// morsels and workers claim them from a shared atomic counter, re-arming
+// their own scan operator per morsel via SetRange. Every worker's pipeline
+// is a fresh copy opened from the same planned access (planTableAccess
+// decides the access path once, for every copy), and nothing below the sink
+// is shared between workers — each copy has its own batch buffers, compiled
+// closures, and scratch rows — so the only cross-goroutine traffic is the
+// morsel counter and the per-morsel output slots.
 //
 // Correctness invariants, in terms the equivalence property tests assert:
 //
@@ -44,9 +47,9 @@ var parallelMinRows = 8192 // smallest row store worth fanning out; test-overrid
 // complete page inside a morsel is prunable by its zone.
 const morselRows = 4 * relation.ZonePageRows
 
-// EffectiveScanWorkers resolves an ExecOptions.ScanWorkers (or
-// flor.Options.ScanWorkers) setting against the host: 0 means GOMAXPROCS,
-// anything else is clamped to [1, GOMAXPROCS].
+// EffectiveScanWorkers resolves an ExecOptions.ScanWorkers setting against
+// the host: 0 means GOMAXPROCS, anything else is clamped to
+// [1, GOMAXPROCS].
 func EffectiveScanWorkers(n int) int {
 	maxp := runtime.GOMAXPROCS(0)
 	if n <= 0 || n > maxp {
@@ -55,198 +58,85 @@ func EffectiveScanWorkers(n int) int {
 	return n
 }
 
-// parallelWorker is one fully compiled worker pipeline.
-type parallelWorker struct {
+// fanOut returns how many morsel workers run the statement's pipeline over
+// in, and the morsel count; fewer than two workers means the pipeline runs
+// as the serial stream. Only a single-table full scan fans out, and only
+// when reassembly cannot change the visible result or waste work: merged
+// partial aggregates emit groups in canonical key order, which LIMIT/OFFSET
+// would expose, and a serial LIMIT without ORDER BY stops scanning early.
+func fanOut(in *input, stmt *SelectStmt, agg bool, workers int) (int, int) {
+	if in.full == nil || workers < 2 {
+		return 0, 0
+	}
+	if agg && (stmt.Limit >= 0 || stmt.Offset > 0) {
+		return 0, 0
+	}
+	if !agg && stmt.Limit >= 0 && len(stmt.OrderBy) == 0 {
+		return 0, 0
+	}
+	// Morsels must cover the *physical* row store (tombstoned versions
+	// included — visibility is the scan's job), so size them from the
+	// resolved store length, not the visible row count.
+	storeLen := in.scan.StoreLen()
+	if storeLen < parallelMinRows {
+		return 0, 0
+	}
+	morsels := (storeLen + morselRows - 1) / morselRows
+	return min(workers, morsels), morsels
+}
+
+// morselWorker is one copy of the compiled pipeline.
+type morselWorker struct {
 	scan *relation.BatchScanOp
 	top  relation.BatchIterator
 	pa   *relation.PartialAgg // aggregate mode only
 }
 
-// tryParallel compiles a statement for morsel-driven parallel execution. It
-// returns (nil, nil) whenever the statement does not qualify or any
-// compilation step fails — the caller then runs the serial path, which
-// either executes fine or reports the identical error. On success the
-// returned execCtx carries the error slots of every worker pipeline and must
-// replace the caller's.
-func tryParallel(cat relation.Catalog, stmt *SelectStmt, opts ExecOptions) (*compiled, *execCtx) {
-	workers := EffectiveScanWorkers(opts.ScanWorkers)
-	if workers < 2 || stmt.From.Name == "" || len(stmt.Joins) > 0 {
-		return nil, nil
-	}
-	agg := stmt.HasAggregates() || len(stmt.GroupBy) > 0
-	if agg {
-		// Merged partials emit groups in canonical key order — a different
-		// permutation than the serial first-seen order. Row-set semantics are
-		// unaffected, but LIMIT/OFFSET pick rows *by* order, so those stay
-		// serial.
-		if stmt.Limit >= 0 || stmt.Offset > 0 {
-			return nil, nil
+// gather runs the pipeline on n morsel workers: worker 0 is the copy
+// compileSelect already built over in, the others are fresh copies of the
+// full-scan access with project stacked on each. Every copy is compiled
+// up front, on this goroutine: compiled closures carry per-pipeline scratch
+// buffers and error-slot registration on ctx is not synchronized, so no
+// compilation may happen once workers run. The workers themselves start
+// lazily, on the first row pulled, so EXPLAIN never runs them.
+func gather(in *input, top relation.BatchIterator, project func(relation.BatchIterator) (relation.BatchIterator, error),
+	n, morsels int, stmt *SelectStmt, ctx *execCtx, sp *simplePlan, ap *aggPlan) (*compiled, error) {
+	ws := []*morselWorker{{scan: in.scan, top: top}}
+	for len(ws) < n {
+		it, scan, err := in.full.open(ctx)
+		if err != nil {
+			return nil, err
 		}
-	} else {
-		if stmt.Having != nil {
-			return nil, nil // serial path reports the error
+		top, err := project(it)
+		if err != nil {
+			return nil, err
 		}
-		// Without ORDER BY, a serial LIMIT stops scanning early; a parallel
-		// scan would do all the work to throw most of it away.
-		if stmt.Limit >= 0 && len(stmt.OrderBy) == 0 {
-			return nil, nil
-		}
+		ws = append(ws, &morselWorker{scan: scan, top: top})
 	}
-	t, ok := cat.Reader(stmt.From.Name)
-	if !ok {
-		return nil, nil
-	}
-
-	// The serial planner prefers index access paths; mirror its
-	// classification and stand down whenever an index would fire, so
-	// parallel full scans only ever replace serial full scans.
-	var conjs []Expr
-	if stmt.Where != nil {
-		conjs = flattenAnd(stmt.Where)
-	}
-	binding := stmt.From.Binding()
-	schema := t.Schema()
-	eqs := make(map[string]sargable)
-	ranges := make(map[string][]sargable)
-	for _, c := range conjs {
-		s, ok := classifySargable(c, binding, schema)
-		if !ok {
-			continue
-		}
-		switch s.op {
-		case "=":
-			if _, dup := eqs[s.col]; !dup {
-				eqs[s.col] = s
-			}
-			ranges[s.col] = append(ranges[s.col], s)
-		case "in":
-			if _, dup := eqs[s.col]; !dup {
-				eqs[s.col] = s
-			}
-		default:
-			ranges[s.col] = append(ranges[s.col], s)
-		}
-	}
-	if cols, _, _ := chooseHashIndex(t, eqs); cols != nil {
-		return nil, nil
-	}
-	if col, _, _, _, _, _ := chooseOrderedIndex(t, ranges); col != "" {
-		return nil, nil
-	}
-
-	needed := scanColumns(stmt, schema)
-
-	// Zone-map pruning is armed only when the whole WHERE kernelizes:
-	// kernels never produce evaluation errors, so skipping a page can never
-	// suppress a deferred error the serial path would have latched.
-	var zf relation.ZoneFilter
-	if stmt.Where != nil {
-		zb := binder{schema: schema}
-		if zb.kernelize(stmt.Where) != nil {
-			zf = zb.zoneFilter(stmt.Where)
-		}
-	}
-
-	var sp *simplePlan
-	var ap *aggPlan
-	var err error
-	if agg {
-		ap, err = buildAggPlan(stmt)
-	} else {
-		sp, err = buildSimplePlan(stmt, schema)
-	}
-	if err != nil {
-		return nil, nil
-	}
-
-	// Compile every worker pipeline up front, on this goroutine: compiled
-	// closures carry per-pipeline scratch buffers and error-slot
-	// registration on ctx is not synchronized, so no compilation may happen
-	// once workers run.
-	ctx := &execCtx{}
-	build := func() (*parallelWorker, error) {
-		scan := relation.NewBatchScan(t, needed, relation.DefaultBatchSize)
-		if zf != nil {
-			scan.SetZoneFilter(zf)
-		}
-		var top relation.BatchIterator = scan
-		if stmt.Where != nil {
-			evalErr := new(error)
-			ctx.register(evalErr)
-			pred, err := binder{schema: schema}.compileBatchPredicate(stmt.Where, evalErr)
+	if ap != nil {
+		for _, w := range ws {
+			pa, err := relation.NewPartialAgg(w.top.Schema(), ap.groupCols, ap.specs)
 			if err != nil {
 				return nil, err
 			}
-			top = relation.NewBatchFilter(top, pred)
-		}
-		w := &parallelWorker{scan: scan}
-		if agg {
-			pre, err := compileAggPre(binder{schema: schema}, ctx, ap)
-			if err != nil {
-				return nil, err
-			}
-			proj, err := relation.NewBatchProject(top, pre)
-			if err != nil {
-				return nil, err
-			}
-			w.pa, err = relation.NewPartialAgg(proj.Schema(), ap.groupCols, ap.specs)
-			if err != nil {
-				return nil, err
-			}
-			w.top = proj
-		} else {
-			exprs, err := compileSimpleExprs(binder{schema: schema}, ctx, sp)
-			if err != nil {
-				return nil, err
-			}
-			proj, err := relation.NewBatchProject(top, exprs)
-			if err != nil {
-				return nil, err
-			}
-			w.top = proj
-		}
-		return w, nil
-	}
-
-	w0, err := build()
-	if err != nil {
-		return nil, nil
-	}
-	// Morsels must cover the *physical* row store (tombstoned versions
-	// included — visibility is the scan's job), so size them from the
-	// resolved store length, not the visible row count. The store is
-	// append-only: a range valid against worker 0's state is valid against
-	// every worker's.
-	storeLen := w0.scan.StoreLen()
-	if storeLen < parallelMinRows {
-		return nil, nil
-	}
-	nMorsels := (storeLen + morselRows - 1) / morselRows
-	if workers > nMorsels {
-		workers = nMorsels
-	}
-	if workers < 2 {
-		return nil, nil
-	}
-	ws := make([]*parallelWorker, workers)
-	ws[0] = w0
-	for i := 1; i < workers; i++ {
-		if ws[i], err = build(); err != nil {
-			return nil, nil
+			w.pa = pa
 		}
 	}
 
+	// The store is append-only: a range valid against worker 0's state is
+	// valid against every worker's.
+	storeLen := in.scan.StoreLen()
 	var out [][]relation.Row
-	if !agg {
-		out = make([][]relation.Row, nMorsels)
+	if ap == nil {
+		out = make([][]relation.Row, morsels)
 	}
-	runWorkers := func() {
+	run := func() {
 		var next atomic.Int64
-		panics := make([]any, workers)
+		panics := make([]any, len(ws))
 		var wg sync.WaitGroup
 		for wi, w := range ws {
 			wg.Add(1)
-			go func(wi int, w *parallelWorker) {
+			go func(wi int, w *morselWorker) {
 				defer wg.Done()
 				defer func() {
 					if p := recover(); p != nil {
@@ -255,25 +145,16 @@ func tryParallel(cat relation.Catalog, stmt *SelectStmt, opts ExecOptions) (*com
 				}()
 				for {
 					m := int(next.Add(1)) - 1
-					if m >= nMorsels {
+					if m >= morsels {
 						return
 					}
 					lo := m * morselRows
 					w.scan.SetRange(lo, min(lo+morselRows, storeLen))
-					if agg {
+					if w.pa != nil {
 						w.pa.Consume(w.top)
 						continue
 					}
-					var rows []relation.Row
-					it := relation.NewRowsFromBatches(w.top)
-					for {
-						r, ok := it.Next()
-						if !ok {
-							break
-						}
-						rows = append(rows, r)
-					}
-					out[m] = rows
+					out[m] = relation.Collect(relation.NewRowsFromBatches(w.top))
 				}
 			}(wi, w)
 		}
@@ -287,41 +168,29 @@ func tryParallel(cat relation.Catalog, stmt *SelectStmt, opts ExecOptions) (*com
 
 	// Plan tree: the per-worker pipeline under a Gather node, then the
 	// shared post half on top.
-	scanNode := &PlanNode{Op: "Scan", Detail: sourceDetail(stmt.From, int64(t.Len())), Batched: true}
-	pnode := scanNode
-	if stmt.Where != nil {
-		detail := stmt.Where.SQL()
-		if zf != nil {
-			detail += " [zonemap]"
-		}
-		pnode = &PlanNode{Op: "Filter", Detail: detail, Batched: true, Children: []*PlanNode{pnode}}
+	if in.full.zoned {
+		in.node.Detail += " [zonemap]" // in.node is the residual Filter: zoning implies conjuncts
 	}
-	gatherDetail := fmt.Sprintf("workers=%d morsels=%d", workers, nMorsels)
-
-	if agg {
-		pnode = &PlanNode{Op: "PartialAggregate", Detail: aggDetail(ap.groupCols, ap.rw.calls), Batched: true, Children: []*PlanNode{pnode}}
-		node := &PlanNode{Op: "Gather", Detail: gatherDetail, Children: []*PlanNode{pnode}}
-		// The coordinator pipeline is lazy (EXPLAIN never runs workers):
-		// drain all morsels, merge the partials, and emit the merged groups
+	detail := fmt.Sprintf("workers=%d morsels=%d", n, morsels)
+	if ap != nil {
+		pnode := &PlanNode{Op: "PartialAggregate", Detail: aggDetail(ap.groupCols, ap.rw.calls), Batched: true, Children: []*PlanNode{in.node}}
+		node := &PlanNode{Op: "Gather", Detail: detail, Children: []*PlanNode{pnode}}
+		// Drain all morsels, merge the partials, and emit the merged groups
 		// in canonical key order.
-		grouped := relation.NewLazyScan(w0.pa.Schema(), func() []relation.Row {
-			runWorkers()
-			for i := 1; i < workers; i++ {
-				w0.pa.Merge(ws[i].pa)
+		grouped := relation.NewLazyScan(ws[0].pa.Schema(), func() []relation.Row {
+			run()
+			for _, w := range ws[1:] {
+				ws[0].pa.Merge(w.pa)
 			}
-			return w0.pa.Rows()
+			return ws[0].pa.Rows()
 		})
-		c, err := compileAggPost(grouped, node, stmt, ctx, ap)
-		if err != nil {
-			return nil, nil
-		}
-		return c, ctx
+		return compileAggPost(grouped, node, stmt, ctx, ap)
 	}
 
-	pnode = &PlanNode{Op: "Project", Detail: "[" + strings.Join(sp.visible, ", ") + "]", Batched: true, Children: []*PlanNode{pnode}}
-	node := &PlanNode{Op: "Gather", Detail: gatherDetail + " order=store", Children: []*PlanNode{pnode}}
-	it := relation.NewLazyScan(w0.top.Schema(), func() []relation.Row {
-		runWorkers()
+	pnode := &PlanNode{Op: "Project", Detail: "[" + strings.Join(sp.visible, ", ") + "]", Batched: true, Children: []*PlanNode{in.node}}
+	node := &PlanNode{Op: "Gather", Detail: detail + " order=store", Children: []*PlanNode{pnode}}
+	it := relation.NewLazyScan(top.Schema(), func() []relation.Row {
+		run()
 		total := 0
 		for _, rs := range out {
 			total += len(rs)
@@ -332,9 +201,5 @@ func tryParallel(cat relation.Catalog, stmt *SelectStmt, opts ExecOptions) (*com
 		}
 		return all
 	})
-	c, err := finishSimple(it, node, stmt, sp)
-	if err != nil {
-		return nil, nil
-	}
-	return c, ctx
+	return finishSimple(it, node, stmt, sp)
 }

@@ -68,57 +68,21 @@ func (c *execCtx) firstErr() error {
 	return nil
 }
 
-// pipe is one planned stream flowing between operators, in one of the two
-// execution modes: vectorized (batch set) or row-at-a-time (rows set).
-// Exactly one field is non-nil. The executor keeps a stream batched as long
-// as every operator on it has a vectorized form and converts to rows at the
-// first operator that doesn't (sort, distinct, limit, post-aggregation).
-type pipe struct {
-	batch relation.BatchIterator
-	rows  relation.Iterator
-}
-
-func (p pipe) batched() bool { return p.batch != nil }
-
-func (p pipe) schema() *relation.Schema {
-	if p.batch != nil {
-		return p.batch.Schema()
-	}
-	return p.rows.Schema()
-}
-
-// iterator converts the stream to row-at-a-time form (a no-op when it
-// already is).
-func (p pipe) iterator() relation.Iterator {
-	if p.batch != nil {
-		return relation.NewRowsFromBatches(p.batch)
-	}
-	return p.rows
-}
-
-// applyFilterPipe filters the stream in its native mode: a vectorized
-// predicate over batches, or the row predicate otherwise.
-func applyFilterPipe(ctx *execCtx, in pipe, pred Expr) (pipe, error) {
-	if in.batched() {
-		b := binder{schema: in.schema()}
-		evalErr := new(error)
-		ctx.register(evalErr)
-		f, err := b.compileBatchPredicate(pred, evalErr)
-		if err != nil {
-			return pipe{}, err
-		}
-		return pipe{batch: relation.NewBatchFilter(in.batch, f)}, nil
-	}
-	it, err := applyFilter(ctx, in.rows, pred)
+// applyFilter wraps in with a vectorized predicate compiled from pred;
+// evaluation errors are registered on ctx and surfaced after execution.
+func applyFilter(ctx *execCtx, in relation.BatchIterator, pred Expr) (relation.BatchIterator, error) {
+	evalErr := new(error)
+	ctx.register(evalErr)
+	f, err := binder{schema: in.Schema()}.compileBatchPredicate(pred, evalErr)
 	if err != nil {
-		return pipe{}, err
+		return nil, err
 	}
-	return pipe{rows: it}, nil
+	return relation.NewBatchFilter(in, f), nil
 }
 
-// applyFilter wraps in with a predicate compiled from pred; evaluation errors
-// are registered on ctx and surfaced after execution.
-func applyFilter(ctx *execCtx, in relation.Iterator, pred Expr) (relation.Iterator, error) {
+// applyRowFilter is applyFilter for row streams: the HAVING filter over
+// aggregated groups, and the ExecuteScan reference executor.
+func applyRowFilter(ctx *execCtx, in relation.Iterator, pred Expr) (relation.Iterator, error) {
 	b := binder{schema: in.Schema()}
 	f, err := b.compile(pred)
 	if err != nil {
@@ -147,11 +111,23 @@ func applyFilter(ctx *execCtx, in relation.Iterator, pred Expr) (relation.Iterat
 	}), nil
 }
 
-// planInput builds the FROM/JOIN/WHERE pipeline. With naive=true it performs
-// no pushdown and no index access-path selection (the pre-planner behavior:
-// full scans joined, WHERE filtered on top) — the reference implementation
-// the planner is property-tested against and benchmarked as the baseline.
-func planInput(cat relation.Catalog, stmt *SelectStmt, ctx *execCtx, naive bool) (pipe, *PlanNode, error) {
+// input is the planned FROM/JOIN/WHERE stream, compiled once. When the
+// statement reads one base table through a full scan, full keeps that
+// table's access so the executor can open further copies of the stream for
+// morsel workers; scan is then the copy's scan operator.
+type input struct {
+	it   relation.BatchIterator
+	node *PlanNode
+	scan *relation.BatchScanOp
+	full *access
+}
+
+// planInput builds the FROM/JOIN/WHERE pipeline: every WHERE conjunct that
+// references a single source is pushed down to it (on a single-table
+// statement, all of them are), each base table gets the access path
+// planTableAccess picks, hash joins build on the smaller estimated input,
+// and the remaining conjuncts filter the joined stream.
+func planInput(cat relation.Catalog, stmt *SelectStmt, ctx *execCtx) (*input, error) {
 	sources := make([]TableRef, 0, 1+len(stmt.Joins))
 	sources = append(sources, stmt.From)
 	for _, j := range stmt.Joins {
@@ -165,20 +141,19 @@ func planInput(cat relation.Catalog, stmt *SelectStmt, ctx *execCtx, naive bool)
 	for i, ref := range sources {
 		s, err := cat.SchemaOf(ref.Name)
 		if err != nil {
-			return pipe{}, nil, err
+			return nil, err
 		}
 		schemas[i] = s
 	}
 	combined := schemas[0]
-	owner := make([]int, 0, combined.Len())
-	for i := 0; i < combined.Len(); i++ {
-		owner = append(owner, 0)
-	}
+	owner := make([]int, combined.Len())
+	start := make([]int, len(sources)) // each source's first position in combined
 	for k := 1; k < len(sources); k++ {
+		start[k] = combined.Len()
 		var err error
 		combined, err = relation.Concat(combined, schemas[k], sources[k].Binding())
 		if err != nil {
-			return pipe{}, nil, err
+			return nil, err
 		}
 		for i := 0; i < schemas[k].Len(); i++ {
 			owner = append(owner, k)
@@ -194,8 +169,8 @@ func planInput(cat relation.Catalog, stmt *SelectStmt, ctx *execCtx, naive bool)
 	pushed := make([][]Expr, len(sources))
 	var retained []Expr
 	for _, c := range conjuncts {
-		src := -1
-		if !naive {
+		src := 0
+		if len(sources) > 1 {
 			src = conjunctOwner(c, combined, owner)
 		}
 		if src >= 0 {
@@ -205,100 +180,109 @@ func planInput(cat relation.Catalog, stmt *SelectStmt, ctx *execCtx, naive bool)
 		}
 	}
 
-	// Column pruning for the single-table case: a batch scan materializes
-	// only the columns the statement touches.
-	var needed []int
-	if !naive && len(stmt.Joins) == 0 {
-		needed = scanColumns(stmt, schemas[0])
-	}
-
-	it, node, est, err := planSource(cat, sources[0], pushed[0], ctx, naive, needed)
-	if err != nil {
-		return pipe{}, nil, err
-	}
-
-	for k, j := range stmt.Joins {
-		right, rightNode, rightEst, err := planSource(cat, sources[k+1], pushed[k+1], ctx, naive, nil)
-		if err != nil {
-			return pipe{}, nil, err
+	// Column pruning: a single table's scan materializes only the columns
+	// read after its access path; a join source's, the columns the
+	// statement reads anywhere (nil = all columns).
+	needed := make([]func(residual []Expr) []int, len(sources))
+	if len(sources) == 1 {
+		needed[0] = func(residual []Expr) []int { return scanColumns(stmt, schemas[0], residual) }
+	} else {
+		read := append([]Expr(nil), conjuncts...)
+		for _, j := range stmt.Joins {
+			read = append(read, j.On)
 		}
-		leftCols, rightCols, residual, err := splitJoinOn(j.On, it.schema(), right.schema(), j.Table.Binding())
+		if pos := scanColumns(stmt, combined, read); pos != nil {
+			for k := range sources {
+				cols := []int{}
+				for _, p := range pos {
+					if owner[p] == k {
+						cols = append(cols, p-start[k])
+					}
+				}
+				needed[k] = func([]Expr) []int { return cols }
+			}
+		}
+	}
+
+	first := planSource(cat, sources[0], pushed[0], needed[0])
+	it, scan, err := first.open(ctx)
+	if err != nil {
+		return nil, err
+	}
+	in := &input{it: it, node: first.node, scan: scan}
+	if len(stmt.Joins) == 0 && first.fullScan {
+		in.full = first
+	}
+
+	est := first.est
+	for k, j := range stmt.Joins {
+		right := planSource(cat, sources[k+1], pushed[k+1], needed[k+1])
+		rit, _, err := right.open(ctx)
 		if err != nil {
-			return pipe{}, nil, err
+			return nil, err
+		}
+		leftCols, rightCols, residual, err := splitJoinOn(j.On, in.it.Schema(), rit.Schema(), j.Table.Binding())
+		if err != nil {
+			return nil, err
 		}
 		// Build on the smaller estimated input; unknown (-1) loses to known.
-		buildLeft := !naive && est >= 0 && (rightEst < 0 || est < rightEst)
-		it, err = planJoin(it, right, leftCols, rightCols, j.Table.Binding(), buildLeft)
+		buildLeft := est >= 0 && (right.est < 0 || est < right.est)
+		in.it, err = planJoin(in.it, rit, leftCols, rightCols, j.Table.Binding(), buildLeft)
 		if err != nil {
-			return pipe{}, nil, err
+			return nil, err
 		}
-		node = &PlanNode{
+		in.node = &PlanNode{
 			Op:       "HashJoin",
 			Detail:   joinDetail(leftCols, rightCols, buildLeft),
-			Batched:  it.batched(),
-			Children: []*PlanNode{node, rightNode},
+			Batched:  true,
+			Children: []*PlanNode{in.node, right.node},
 		}
-		if est < 0 || rightEst < 0 {
+		if est < 0 || right.est < 0 {
 			est = -1
-		} else if rightEst > est {
-			est = rightEst
+		} else if right.est > est {
+			est = right.est
 		}
 		if residual != nil {
-			it, err = applyFilterPipe(ctx, it, residual)
-			if err != nil {
-				return pipe{}, nil, err
+			if in.it, err = applyFilter(ctx, in.it, residual); err != nil {
+				return nil, err
 			}
-			node = &PlanNode{Op: "Filter", Detail: residual.SQL(), Batched: it.batched(), Children: []*PlanNode{node}}
+			in.node = &PlanNode{Op: "Filter", Detail: residual.SQL(), Batched: true, Children: []*PlanNode{in.node}}
 		}
 	}
 
 	if len(retained) > 0 {
 		pred := combineAnd(retained)
-		var err error
-		it, err = applyFilterPipe(ctx, it, pred)
-		if err != nil {
-			return pipe{}, nil, err
+		if in.it, err = applyFilter(ctx, in.it, pred); err != nil {
+			return nil, err
 		}
-		node = &PlanNode{Op: "Filter", Detail: pred.SQL(), Batched: it.batched(), Children: []*PlanNode{node}}
+		in.node = &PlanNode{Op: "Filter", Detail: pred.SQL(), Batched: true, Children: []*PlanNode{in.node}}
 	}
-	return it, node, nil
+	return in, nil
 }
 
-// planJoin wires one hash join. When the probe side (the non-build side) is
-// a batched stream, probing stays vectorized: the build side is drained
-// into the hash table either way, so only the probe side's mode matters.
-// Output columns are left-then-right in both modes.
-func planJoin(left, right pipe, leftCols, rightCols []string, rightBinding string, buildLeft bool) (pipe, error) {
+// planJoin wires one hash join: the build side is drained into the hash
+// table, the probe side streams batch by batch. Output columns are
+// left-then-right whichever side builds.
+func planJoin(left, right relation.BatchIterator, leftCols, rightCols []string, rightBinding string, buildLeft bool) (relation.BatchIterator, error) {
 	probe, build := left, right
 	probeCols, buildCols := leftCols, rightCols
 	if buildLeft {
 		probe, build = right, left
 		probeCols, buildCols = rightCols, leftCols
 	}
-	if probe.batched() {
-		probePos, err := resolveAll(probe.schema(), probeCols)
-		if err != nil {
-			return pipe{}, err
-		}
-		buildPos, err := resolveAll(build.schema(), buildCols)
-		if err != nil {
-			return pipe{}, err
-		}
-		schema, err := relation.Concat(left.schema(), right.schema(), rightBinding)
-		if err != nil {
-			return pipe{}, err
-		}
-		j, err := relation.NewBatchHashJoin(probe.batch, build.iterator(), probePos, buildPos, schema, buildLeft)
-		if err != nil {
-			return pipe{}, err
-		}
-		return pipe{batch: j}, nil
-	}
-	j, err := relation.NewHashJoinBuildSide(left.iterator(), right.iterator(), leftCols, rightCols, rightBinding, buildLeft)
+	probePos, err := resolveAll(probe.Schema(), probeCols)
 	if err != nil {
-		return pipe{}, err
+		return nil, err
 	}
-	return pipe{rows: j}, nil
+	buildPos, err := resolveAll(build.Schema(), buildCols)
+	if err != nil {
+		return nil, err
+	}
+	schema, err := relation.Concat(left.Schema(), right.Schema(), rightBinding)
+	if err != nil {
+		return nil, err
+	}
+	return relation.NewBatchHashJoin(probe, build, probePos, buildPos, schema, buildLeft)
 }
 
 func resolveAll(s *relation.Schema, cols []string) ([]int, error) {
@@ -313,14 +297,17 @@ func resolveAll(s *relation.Schema, cols []string) ([]int, error) {
 	return out, nil
 }
 
-// scanColumns lists the schema positions a single-table statement touches,
-// for batch-scan column pruning. nil means materialize everything: SELECT *
-// (empty item list) or a reference that doesn't resolve against the table
-// (ORDER BY on an output alias, or a genuinely unknown column the later
-// compile will report). A statement that touches no columns at all — e.g.
-// SELECT count(*) with no WHERE — returns an empty non-nil slice: the scan
-// materializes nothing and only computes the visibility selection.
-func scanColumns(stmt *SelectStmt, schema *relation.Schema) []int {
+// scanColumns lists the schema positions a statement reads through extra
+// (a single table's residual conjuncts, or a join's whole WHERE and ON
+// clauses) and its items, GROUP BY, HAVING and ORDER BY, for scan column
+// pruning. Columns only an access path consumed are thus left out. nil
+// means materialize everything: SELECT * (empty item list) or a reference
+// that doesn't resolve against the schema (ORDER BY on an output alias, or
+// a genuinely unknown column the later compile will report). A statement
+// that reads no columns at all — e.g. SELECT count(*) with no residual —
+// returns an empty non-nil slice: the scan materializes nothing and only
+// computes the visibility selection.
+func scanColumns(stmt *SelectStmt, schema *relation.Schema, extra []Expr) []int {
 	if len(stmt.Items) == 0 {
 		return nil
 	}
@@ -342,20 +329,19 @@ func scanColumns(stmt *SelectStmt, schema *relation.Schema) []int {
 			out = append(out, pos)
 		}
 	}
+	exprs := append([]Expr(nil), extra...)
 	for _, item := range stmt.Items {
-		walkColumnRefs(item.Expr, add)
+		exprs = append(exprs, item.Expr)
 	}
-	if stmt.Where != nil {
-		walkColumnRefs(stmt.Where, add)
-	}
-	for _, g := range stmt.GroupBy {
-		walkColumnRefs(g, add)
-	}
+	exprs = append(exprs, stmt.GroupBy...)
 	if stmt.Having != nil {
-		walkColumnRefs(stmt.Having, add)
+		exprs = append(exprs, stmt.Having)
 	}
 	for _, oi := range stmt.OrderBy {
-		walkColumnRefs(oi.Expr, add)
+		exprs = append(exprs, oi.Expr)
+	}
+	for _, e := range exprs {
+		walkColumnRefs(e, add)
 	}
 	if bad {
 		return nil
@@ -444,36 +430,55 @@ func combineAnd(exprs []Expr) Expr {
 	return out
 }
 
+// access is one planned FROM/JOIN source: its plan subtree and estimated
+// row count (-1 = unknown; used to pick hash-join build sides), and open,
+// which compiles a fresh copy of the stream — access path plus residual
+// filter — and returns it with its base-table scan (nil for a virtual
+// table). A fullScan access is the one the executor may open once per
+// morsel worker; zoned reports that its scan prunes pages by zone map.
+type access struct {
+	node     *PlanNode
+	est      int64
+	open     func(ctx *execCtx) (relation.BatchIterator, *relation.BatchScanOp, error)
+	fullScan bool
+	zoned    bool
+}
+
 // planSource plans one FROM/JOIN source given the conjuncts pushed to it.
-// It returns the stream, its plan subtree, and an estimated row count
-// (-1 = unknown) used to pick hash-join build sides. needed restricts which
-// columns a batch scan materializes (nil = all).
-func planSource(cat relation.Catalog, ref TableRef, conjs []Expr, ctx *execCtx, naive bool, needed []int) (pipe, *PlanNode, int64, error) {
-	if t, ok := cat.Reader(ref.Name); ok && !naive {
-		return planTableAccess(t, ref, conjs, ctx, needed)
-	}
-	it, err := cat.Source(ref.Name)
-	if err != nil {
-		return pipe{}, nil, 0, err
-	}
-	est := int64(-1)
-	op := "Scan"
+// needed computes a base table's scan columns from its residual conjuncts
+// (nil = all columns).
+func planSource(cat relation.Catalog, ref TableRef, conjs []Expr, needed func([]Expr) []int) *access {
 	if t, ok := cat.Reader(ref.Name); ok {
-		est = int64(t.Len())
-	} else {
-		op = "VirtualScan"
+		return planTableAccess(t, ref, conjs, needed)
 	}
-	node := &PlanNode{Op: op, Detail: sourceDetail(ref, est)}
-	p := pipe{rows: it}
-	if len(conjs) > 0 {
-		pred := combineAnd(conjs)
-		p, err = applyFilterPipe(ctx, p, pred)
+	acc := &access{est: -1, node: residualNode(&PlanNode{Op: "VirtualScan", Detail: sourceDetail(ref, -1)}, conjs)}
+	acc.open = func(ctx *execCtx) (relation.BatchIterator, *relation.BatchScanOp, error) {
+		rows, err := cat.Source(ref.Name)
 		if err != nil {
-			return pipe{}, nil, 0, err
+			return nil, nil, err
 		}
-		node = &PlanNode{Op: "Filter", Detail: pred.SQL(), Children: []*PlanNode{node}}
+		it, err := withResidual(ctx, relation.NewBatchFromRows(rows, 0), conjs)
+		return it, nil, err
 	}
-	return p, node, est, nil
+	return acc
+}
+
+// withResidual filters a freshly opened source stream by the conjuncts its
+// access path did not consume.
+func withResidual(ctx *execCtx, it relation.BatchIterator, residual []Expr) (relation.BatchIterator, error) {
+	if len(residual) == 0 {
+		return it, nil
+	}
+	return applyFilter(ctx, it, combineAnd(residual))
+}
+
+// residualNode puts the residual filter's plan node on top of an access
+// path's.
+func residualNode(node *PlanNode, residual []Expr) *PlanNode {
+	if len(residual) == 0 {
+		return node
+	}
+	return &PlanNode{Op: "Filter", Detail: combineAnd(residual).SQL(), Batched: true, Children: []*PlanNode{node}}
 }
 
 func sourceDetail(ref TableRef, est int64) string {
@@ -497,21 +502,21 @@ type sargable struct {
 	vals []relation.Value
 }
 
-// planTableAccess picks the cheapest access path the pushed conjuncts allow:
-// hash-index lookup > ordered-index range > full scan. Unconsumed conjuncts
+// planTableAccess is the one place a base table's access path is decided:
+// it classifies the pushed conjuncts and picks the cheapest path they allow
+// — hash-index lookup > ordered-index range > full scan, the last with
+// zone-map pruning armed when the predicate allows. Unconsumed conjuncts
 // become a residual filter over the narrowed stream. The reader may be a
-// live table or a pinned snapshot; access paths resolve rows through its
-// visibility filter either way. Index paths produce (small) row streams;
-// the full-scan fallback produces a batched stream — scanning the whole
-// table is exactly when vectorization pays.
-func planTableAccess(t relation.TableReader, ref TableRef, conjs []Expr, ctx *execCtx, needed []int) (pipe, *PlanNode, int64, error) {
-	binding := ref.Binding()
+// live table or a pinned snapshot; every path resolves rows through its
+// visibility filter either way, and every path is a batch scan: the index
+// paths walk the index's RowID list, materializing only the columns read
+// after the access path.
+func planTableAccess(t relation.TableReader, ref TableRef, conjs []Expr, needed func([]Expr) []int) *access {
 	schema := t.Schema()
-
 	eqs := make(map[string]sargable)
 	ranges := make(map[string][]sargable)
 	for i, c := range conjs {
-		s, ok := classifySargable(c, binding, schema)
+		s, ok := classifySargable(c, ref.Binding(), schema)
 		if !ok {
 			continue
 		}
@@ -531,49 +536,48 @@ func planTableAccess(t relation.TableReader, ref TableRef, conjs []Expr, ctx *ex
 		}
 	}
 
+	acc := &access{}
 	var (
-		p        pipe
-		node     *PlanNode
-		est      int64
 		consumed map[int]bool
+		newScan  func(read []int) (*relation.BatchScanOp, error)
 	)
-
 	if cols, keys, used := chooseHashIndex(t, eqs); cols != nil {
-		it, err := relation.NewIndexLookup(t, cols, keys)
-		if err != nil {
-			return pipe{}, nil, 0, err
+		newScan = func(read []int) (*relation.BatchScanOp, error) {
+			return relation.NewBatchIndexLookup(t, cols, keys, read)
 		}
-		p = pipe{rows: it}
-		node = &PlanNode{Op: "IndexLookup", Detail: lookupDetail(ref, cols, keys)}
-		est = int64(len(keys))
+		acc.node = &PlanNode{Op: "IndexLookup", Detail: lookupDetail(ref, cols, keys), Batched: true}
+		acc.est = int64(len(keys))
 		consumed = used
 	} else if col, lo, hi, loIncl, hiIncl, used := chooseOrderedIndex(t, ranges); col != "" {
-		it, err := relation.NewIndexRange(t, col, lo, hi, loIncl, hiIncl)
-		if err != nil {
-			return pipe{}, nil, 0, err
+		newScan = func(read []int) (*relation.BatchScanOp, error) {
+			return relation.NewBatchIndexRange(t, col, lo, hi, loIncl, hiIncl, read)
 		}
-		p = pipe{rows: it}
-		node = &PlanNode{Op: "IndexRange", Detail: rangeDetail(ref, col, lo, hi, loIncl, hiIncl)}
-		est = int64(t.Len())/4 + 1
+		acc.node = &PlanNode{Op: "IndexRange", Detail: rangeDetail(ref, col, lo, hi, loIncl, hiIncl), Batched: true}
+		acc.est = int64(t.Len())/4 + 1
 		consumed = used
 	} else {
-		scan := relation.NewBatchScan(t, needed, relation.DefaultBatchSize)
+		// Zone-map pruning, gated on the whole pushed predicate
+		// kernelizing: kernels never produce evaluation errors, so skipping
+		// a page can never suppress a deferred error the unpruned scan would
+		// have latched (see binder.zoneFilter).
+		var zf relation.ZoneFilter
 		if len(conjs) > 0 {
-			// Zone-map pruning for the full scan, gated on the whole pushed
-			// predicate kernelizing: kernels never produce evaluation errors,
-			// so skipping a page can never suppress a deferred error the
-			// unpruned scan would have latched (see binder.zoneFilter).
 			pred := combineAnd(conjs)
 			zb := binder{schema: schema}
 			if zb.kernelize(pred) != nil {
-				if zf := zb.zoneFilter(pred); zf != nil {
-					scan.SetZoneFilter(zf)
-				}
+				zf = zb.zoneFilter(pred)
 			}
 		}
-		p = pipe{batch: scan}
-		est = int64(t.Len())
-		node = &PlanNode{Op: "Scan", Detail: sourceDetail(ref, est), Batched: true}
+		newScan = func(read []int) (*relation.BatchScanOp, error) {
+			scan := relation.NewBatchScan(t, read, relation.DefaultBatchSize)
+			if zf != nil {
+				scan.SetZoneFilter(zf)
+			}
+			return scan, nil
+		}
+		acc.est = int64(t.Len())
+		acc.node = &PlanNode{Op: "Scan", Detail: sourceDetail(ref, acc.est), Batched: true}
+		acc.fullScan, acc.zoned = true, zf != nil
 	}
 
 	var residual []Expr
@@ -582,16 +586,20 @@ func planTableAccess(t relation.TableReader, ref TableRef, conjs []Expr, ctx *ex
 			residual = append(residual, c)
 		}
 	}
-	if len(residual) > 0 {
-		pred := combineAnd(residual)
-		var err error
-		p, err = applyFilterPipe(ctx, p, pred)
-		if err != nil {
-			return pipe{}, nil, 0, err
-		}
-		node = &PlanNode{Op: "Filter", Detail: pred.SQL(), Batched: p.batched(), Children: []*PlanNode{node}}
+	var read []int
+	if needed != nil {
+		read = needed(residual)
 	}
-	return p, node, est, nil
+	acc.open = func(ctx *execCtx) (relation.BatchIterator, *relation.BatchScanOp, error) {
+		scan, err := newScan(read)
+		if err != nil {
+			return nil, nil, err
+		}
+		it, err := withResidual(ctx, scan, residual)
+		return it, scan, err
+	}
+	acc.node = residualNode(acc.node, residual)
+	return acc
 }
 
 // chooseHashIndex returns the widest hash index whose every column is bound
@@ -733,19 +741,12 @@ func tightenHi(cur relation.Value, curIncl bool, v relation.Value, incl bool) (r
 func classifySargable(c Expr, binding string, schema *relation.Schema) (sargable, bool) {
 	switch x := c.(type) {
 	case *BinaryExpr:
-		var flip = map[string]string{"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-		if _, cmp := flip[x.Op]; !cmp {
+		ref, v, op, ok := colCmpLit(x)
+		if !ok || op == "!=" || v.IsNull() {
 			return sargable{}, false
 		}
-		if col, ok := tableColOf(x.Left, binding, schema); ok {
-			if v, ok := literalOf(x.Right); ok && !v.IsNull() {
-				return sargable{col: col, op: x.Op, vals: []relation.Value{v}}, true
-			}
-		}
-		if col, ok := tableColOf(x.Right, binding, schema); ok {
-			if v, ok := literalOf(x.Left); ok && !v.IsNull() {
-				return sargable{col: col, op: flip[x.Op], vals: []relation.Value{v}}, true
-			}
+		if col, ok := tableColOf(ref, binding, schema); ok {
+			return sargable{col: col, op: op, vals: []relation.Value{v}}, true
 		}
 	case *InExpr:
 		if x.Negate {
@@ -783,6 +784,32 @@ func classifySargable(c Expr, binding string, schema *relation.Schema) (sargable
 		return sargable{col: col, op: "between", vals: []relation.Value{lo, hi}}, true
 	}
 	return sargable{}, false
+}
+
+// mirrorCmp maps each comparison operator to its mirror image: lit <op> col
+// holds exactly when col <mirrorCmp[op]> lit does.
+var mirrorCmp = map[string]string{"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+// colCmpLit is the one matcher of column-versus-literal comparisons, shared
+// by the sargable classifier, the batch kernels and the zone filters. It
+// matches col <op> lit in either operand order and returns the operator as
+// seen from the column's side.
+func colCmpLit(x *BinaryExpr) (ref *ColumnRef, lit relation.Value, op string, ok bool) {
+	mirrored, isCmp := mirrorCmp[x.Op]
+	if !isCmp {
+		return nil, relation.Null(), "", false
+	}
+	if ref, isCol := x.Left.(*ColumnRef); isCol {
+		if v, isLit := literalOf(x.Right); isLit {
+			return ref, v, x.Op, true
+		}
+	}
+	if ref, isCol := x.Right.(*ColumnRef); isCol {
+		if v, isLit := literalOf(x.Left); isLit {
+			return ref, v, mirrored, true
+		}
+	}
+	return nil, relation.Null(), "", false
 }
 
 // tableColOf resolves e as a reference to a column of the table bound as

@@ -420,3 +420,49 @@ func TestExplainViaRunReturnsPlanColumn(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexPathsRunBatched pins that both index access paths are batch
+// scans feeding a batched pipeline, and that they return the reference
+// executor's rows (index order differs from store order, so as multisets).
+func TestIndexPathsRunBatched(t *testing.T) {
+	db := indexedDB(t)
+	for _, tc := range []struct{ q, access string }{
+		{"SELECT tstamp, value FROM logs WHERE projid = 'pdf' AND value_name IN ('recall', 'acc')", "IndexLookup"},
+		{"SELECT value_name, value FROM logs WHERE tstamp BETWEEN 2 AND 3 AND filename = 'train.py'", "IndexRange"},
+	} {
+		mustContainBatched(t, db, tc.q, tc.access, "Project")
+		want := mustRun(t, db, tc.q)
+		stmt, err := Parse(tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ExecuteScan(db, stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := diffResults(want, got); d != "" || len(want.Rows) == 0 {
+			t.Fatalf("%s: planned vs reference: %s (%d rows)", tc.q, d, len(want.Rows))
+		}
+	}
+}
+
+// TestScanColumnsSkipConsumedColumns checks that an access path's consumed
+// conjuncts do not widen the scan: only the residual's and the items'
+// columns are materialized.
+func TestScanColumnsSkipConsumedColumns(t *testing.T) {
+	db := indexedDB(t)
+	schema, err := db.SchemaOf("logs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmt, err := Parse("SELECT count(*) AS n, max(value) AS mx FROM logs WHERE projid = 'pdf' AND value_name = 'acc' AND tstamp > 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	residual := flattenAnd(stmt.Where)[2:] // the hash index consumes projid and value_name
+	got := fmt.Sprint(scanColumns(stmt, schema, residual))
+	want := fmt.Sprint([]int{schema.Index("tstamp"), schema.Index("value")})
+	if got != want {
+		t.Fatalf("scan columns = %s, want %s", got, want)
+	}
+}

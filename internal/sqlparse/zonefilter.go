@@ -59,24 +59,10 @@ func (b binder) zoneFilter(e Expr) relation.ZoneFilter {
 				return nil
 			}
 			return func(z *relation.PageZone) bool { return l(z) && r(z) }
-		case "=", "!=", "<", "<=", ">", ">=":
-			if lref, ok := x.Left.(*ColumnRef); ok {
-				if lit, ok := literalOf(x.Right); ok {
-					p, err := b.resolve(lref)
-					if err != nil {
-						return nil
-					}
-					return zoneCmpFilter(p, lit, x.Op)
-				}
-			}
-			if rref, ok := x.Right.(*ColumnRef); ok {
-				if lit, ok := literalOf(x.Left); ok {
-					p, err := b.resolve(rref)
-					if err != nil {
-						return nil
-					}
-					var flip = map[string]string{"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-					return zoneCmpFilter(p, lit, flip[x.Op])
+		default:
+			if ref, lit, op, ok := colCmpLit(x); ok {
+				if p, err := b.resolve(ref); err == nil {
+					return zoneCmpFilter(p, lit, op)
 				}
 			}
 		}
